@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <deque>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
 #include "sim/rng_stream.hpp"
+#include "util/parallel_for.hpp"
 
 namespace tlc::core {
 
@@ -74,12 +74,34 @@ std::unique_ptr<TlcSession> make_batch_session(const BatchConfig& config,
       sim::stream_rng(config.rng_salt, stream));
 }
 
+std::vector<UeGroup> group_by_ue(const std::vector<SettlementItem>& items,
+                                 std::vector<SettlementReceipt>& receipts) {
+  // The side index makes grouping O(n); vector order alone fixes the
+  // output, so the unordered lookup cannot leak into results.
+  std::vector<UeGroup> groups;
+  std::unordered_map<std::uint64_t, std::size_t> group_by_id;
+  group_by_id.reserve(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const auto [it, inserted] =
+        group_by_id.try_emplace(items[i].ue_id, groups.size());
+    if (inserted) {
+      groups.emplace_back();
+      groups.back().ue_id = items[i].ue_id;
+    }
+    UeGroup& group = groups[it->second];
+    group.item_indices.push_back(i);
+    receipts[i].ue_id = items[i].ue_id;
+    receipts[i].cycle =
+        static_cast<std::uint32_t>(group.item_indices.size() - 1);
+  }
+  return groups;
+}
+
 namespace {
 
-/// One UE's items and reused session pair.
+/// One UE's reused session pair and its in-flight wire messages.
 struct Group {
-  std::uint64_t ue_id = 0;
-  std::vector<std::size_t> item_indices;  // into the input vector
+  const UeGroup* ue = nullptr;
   std::unique_ptr<TlcSession> edge;
   std::unique_ptr<TlcSession> op;
   // Pending wire messages: (to_edge, bytes), FIFO per group.
@@ -87,6 +109,20 @@ struct Group {
   bool poisoned = false;  // a cycle failed; remaining cycles skip
   std::string poison_reason;
 };
+
+/// Builds the group's session pair; the send closures point back at
+/// the group, so it must not move while the sessions live.
+void open_sessions(Group& group, const BatchConfig& config,
+                   const RsaKeyCache& keys) {
+  const std::uint64_t ue = group.ue->ue_id;
+  group.edge = make_batch_session(config, keys, ue, PartyRole::EdgeVendor);
+  group.op = make_batch_session(config, keys, ue, PartyRole::Operator);
+  Group* raw = &group;
+  group.edge->set_send(
+      [raw](const Bytes& m) { raw->wire.emplace_back(false, m); });
+  group.op->set_send(
+      [raw](const Bytes& m) { raw->wire.emplace_back(true, m); });
+}
 
 void poison(Group& group, const std::string& reason) {
   group.poisoned = true;
@@ -136,10 +172,18 @@ void finish_group_cycle(Group& group, SettlementReceipt& receipt) {
   receipt.outcome = SettleOutcome::Converged;
 }
 
-/// All cycles of one group, local FIFO pump (the thread-worker path).
-void run_group(Group& group, const std::vector<SettlementItem>& items,
+/// All cycles of one group through a local FIFO pump (every path but
+/// the interleave hook's). Sessions live only while the group runs, so
+/// a batch holds one pair per worker rather than one per UE.
+void run_group(Group& group, const BatchConfig& config,
+               const RsaKeyCache& keys, recovery::CrashPlan* plan,
+               const std::vector<SettlementItem>& items,
                std::vector<SettlementReceipt>& receipts) {
-  for (std::size_t item_index : group.item_indices) {
+  open_sessions(group, config, keys);
+  for (std::size_t item_index : group.ue->item_indices) {
+    if (plan != nullptr) {
+      plan->fire(recovery::kCrashSettleCycle, group.ue->ue_id);
+    }
     if (!begin_group_cycle(group, items[item_index])) {
       poison(group, "cycle could not start");
       receipts[item_index].failure_reason = group.poison_reason;
@@ -148,6 +192,8 @@ void run_group(Group& group, const std::vector<SettlementItem>& items,
     while (!group.wire.empty() && !group.poisoned) deliver_one(group);
     finish_group_cycle(group, receipts[item_index]);
   }
+  group.edge.reset();
+  group.op.reset();
 }
 
 }  // namespace
@@ -158,38 +204,12 @@ BatchSettler::BatchSettler(BatchConfig config, const RsaKeyCache& keys)
 std::vector<SettlementReceipt> BatchSettler::settle(
     const std::vector<SettlementItem>& items, unsigned threads) const {
   std::vector<SettlementReceipt> receipts(items.size());
-
-  // Group items by UE in first-appearance order; per-UE item order is
-  // input order (item n of a UE = its cycle n). A deque keeps Group
-  // addresses stable for the send closures below; the side index makes
-  // grouping O(n) — deque order alone fixes the output, so the
-  // unordered lookup cannot leak into results.
-  std::deque<Group> groups;
-  std::unordered_map<std::uint64_t, std::size_t> group_by_ue;
-  group_by_ue.reserve(items.size());
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto [it, inserted] =
-        group_by_ue.try_emplace(items[i].ue_id, groups.size());
-    if (inserted) {
-      groups.emplace_back();
-      groups.back().ue_id = items[i].ue_id;
-    }
-    Group* group = &groups[it->second];
-    group->item_indices.push_back(i);
-    receipts[i].ue_id = items[i].ue_id;
-    receipts[i].cycle =
-        static_cast<std::uint32_t>(group->item_indices.size() - 1);
-  }
-  for (Group& group : groups) {
-    group.edge =
-        make_batch_session(config_, keys_, group.ue_id, PartyRole::EdgeVendor);
-    group.op =
-        make_batch_session(config_, keys_, group.ue_id, PartyRole::Operator);
-    Group* raw = &group;
-    group.edge->set_send(
-        [raw](const Bytes& m) { raw->wire.emplace_back(false, m); });
-    group.op->set_send(
-        [raw](const Bytes& m) { raw->wire.emplace_back(true, m); });
+  const std::vector<UeGroup> ue_groups = group_by_ue(items, receipts);
+  // Sized once and never resized: the send closures hold Group
+  // addresses.
+  std::vector<Group> groups(ue_groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    groups[g].ue = &ue_groups[g];
   }
 
   if (threads <= 1 && interleave_) {
@@ -198,20 +218,24 @@ std::vector<SettlementReceipt> BatchSettler::settle(
     // order chosen by the hook — cross-session reordering with
     // per-session FIFO intact.
     std::size_t max_cycles = 0;
-    for (const Group& group : groups) {
-      max_cycles = std::max(max_cycles, group.item_indices.size());
+    for (Group& group : groups) {
+      open_sessions(group, config_, keys_);
+      max_cycles = std::max(max_cycles, group.ue->item_indices.size());
     }
     for (std::size_t cycle = 0; cycle < max_cycles; ++cycle) {
       std::vector<std::size_t> active;
       for (std::size_t g = 0; g < groups.size(); ++g) {
         Group& group = groups[g];
-        if (cycle >= group.item_indices.size()) continue;
-        if (begin_group_cycle(group, items[group.item_indices[cycle]])) {
+        if (cycle >= group.ue->item_indices.size()) continue;
+        if (plan_ != nullptr) {
+          plan_->fire(recovery::kCrashSettleCycle, group.ue->ue_id);
+        }
+        const std::size_t item_index = group.ue->item_indices[cycle];
+        if (begin_group_cycle(group, items[item_index])) {
           active.push_back(g);
         } else {
           poison(group, "cycle could not start");
-          receipts[group.item_indices[cycle]].failure_reason =
-              group.poison_reason;
+          receipts[item_index].failure_reason = group.poison_reason;
         }
       }
       for (;;) {
@@ -230,32 +254,18 @@ std::vector<SettlementReceipt> BatchSettler::settle(
         }
       }
       for (std::size_t g : active) {
-        finish_group_cycle(groups[g], receipts[groups[g].item_indices[cycle]]);
+        finish_group_cycle(groups[g],
+                           receipts[groups[g].ue->item_indices[cycle]]);
       }
     }
     return receipts;
   }
 
-  if (threads <= 1 || groups.size() <= 1) {
-    for (Group& group : groups) run_group(group, items, receipts);
-    return receipts;
-  }
-
-  // Static round-robin partition of groups over a fixed worker set:
-  // each group is fully local to one worker and writes only its own
+  // Each group is fully local to one worker and writes only its own
   // receipt slots, so results never depend on the worker count.
-  const unsigned workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, groups.size()));
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (unsigned w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      for (std::size_t g = w; g < groups.size(); g += workers) {
-        run_group(groups[g], items, receipts);
-      }
-    });
-  }
-  for (std::thread& worker : pool) worker.join();
+  util::parallel_for(groups.size(), threads, [&](std::size_t g) {
+    run_group(groups[g], config_, keys_, plan_, items, receipts);
+  });
   return receipts;
 }
 

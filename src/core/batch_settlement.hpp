@@ -13,9 +13,10 @@
 //    sequence, exactly as the single-UE API would.
 //
 // Distinct UEs share no mutable state, so `settle()` can fan UE groups
-// out over worker threads — receipts are bit-identical for every thread
-// count, and (single-threaded) the cross-session message pump can be
-// reordered arbitrarily between sessions without changing any receipt.
+// out over util::parallel_for — receipts are bit-identical for every
+// thread count, and (single-threaded) the cross-session message pump can
+// be reordered arbitrarily between sessions without changing any
+// receipt.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 
 #include "core/tlc_session.hpp"
 #include "crypto/rsa.hpp"
+#include "recovery/crash_plan.hpp"
 
 namespace tlc::core {
 
@@ -97,6 +99,21 @@ struct BatchConfig {
   std::uint64_t rng_salt = 0x5eedfa11ULL;
 };
 
+/// One UE's share of a batch: indices of its items, in input order.
+struct UeGroup {
+  std::uint64_t ue_id = 0;
+  std::vector<std::size_t> item_indices;
+};
+
+/// Groups items by UE in first-appearance order and pre-fills each
+/// receipt slot's (ue_id, cycle): the n-th item of a UE is its cycle n.
+/// Every settler groups through here, so all of them agree on which
+/// receipt slot holds which (UE, cycle). `receipts` must already be
+/// sized to `items`.
+[[nodiscard]] std::vector<UeGroup> group_by_ue(
+    const std::vector<SettlementItem>& items,
+    std::vector<SettlementReceipt>& receipts);
+
 /// Builds the reusable per-UE session one side of a batch settlement
 /// runs. Key slots and the session RNG stream (salt, 2*ue + role) are
 /// pure functions of their inputs, so any driver — the in-process
@@ -121,10 +138,18 @@ class BatchSettler {
     interleave_ = std::move(interleave);
   }
 
+  /// Wires in crash injection with the transport settlers' contract:
+  /// the settle-cycle point fires before each (UE, cycle) negotiation,
+  /// scoped by UE id, so the k-th fire for a UE is its cycle k at any
+  /// thread count. A CrashException raised on a worker is rethrown on
+  /// the calling thread once every worker has stopped.
+  void set_crash_plan(recovery::CrashPlan* plan) { plan_ = plan; }
+
   /// Settles every item. `threads` > 1 distributes UE groups over that
-  /// many workers (each group stays sequential internally). Receipts
-  /// come back in input order and are identical for every thread count
-  /// and every cross-session interleaving.
+  /// many workers (each group stays sequential internally and holds its
+  /// session pair only while it runs). Receipts come back in input
+  /// order and are identical for every thread count and every
+  /// cross-session interleaving.
   [[nodiscard]] std::vector<SettlementReceipt> settle(
       const std::vector<SettlementItem>& items, unsigned threads = 1) const;
 
@@ -132,6 +157,7 @@ class BatchSettler {
   BatchConfig config_;
   const RsaKeyCache& keys_;
   InterleaveFn interleave_;
+  recovery::CrashPlan* plan_ = nullptr;
 };
 
 }  // namespace tlc::core

@@ -11,10 +11,7 @@
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 #include "fleet/engine_detail.hpp"
-#include "fleet/thread_pool.hpp"
 #include "sim/rng_stream.hpp"
-#include "transport/coded_session.hpp"
-#include "transport/lossy_settlement.hpp"
 
 namespace tlc::fleet {
 namespace {
@@ -335,83 +332,13 @@ void compute_digests(FleetResult& result) {
 }  // namespace detail
 
 FleetResult run_fleet(const FleetConfig& config) {
-  FleetResult result;
-  const std::vector<detail::ShardSlice> slices =
-      detail::partition_shards(config);
-  if (slices.empty()) return result;
-
-  // Key material is shared read-only across workers; build it before
-  // the pool starts so no worker ever takes a lock for a key.
-  std::unique_ptr<const core::RsaKeyCache> keys;
-  if (config.settle) {
-    keys = std::make_unique<core::RsaKeyCache>(
-        config.rsa_bits, config.key_cache_slots, detail::key_cache_seed(config));
-  }
-  const core::BatchConfig batch = detail::make_batch_config(config);
-
-  // Run shards on the pool. Each job owns one pre-allocated slot and
-  // carries its slice end-to-end — simulation, gap-sample collection
-  // and TLC settlement of its own UEs — so workers never touch shared
-  // state. Receipts are pure per-UE functions of (items, keys, salt),
-  // which is what makes per-shard settlement concatenated in shard
-  // order byte-identical to a whole-fleet settle (and to the
-  // supervisor's journaled chunked settle).
-  std::vector<detail::ShardOutcome> slots(slices.size());
-  {
-    ThreadPool pool(config.threads);
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      const detail::ShardSlice slice = slices[i];
-      detail::ShardOutcome* slot = &slots[i];
-      const core::RsaKeyCache* key_cache = keys.get();
-      pool.submit([&config, &batch, slice, slot, key_cache] {
-        slot->records = detail::run_shard_slice(config, slice);
-        detail::collect_gap_samples(slot->records, slot->gap_samples);
-        if (key_cache != nullptr) {
-          const std::vector<core::SettlementItem> items =
-              detail::settlement_items(slot->records, config);
-          if (config.lossy_transport &&
-              config.transport.coding == transport::Coding::Rlnc) {
-            transport::CodedSettler settler(batch, config.transport,
-                                            *key_cache);
-            transport::LossyBatchReport report = settler.settle(items, 1);
-            slot->receipts = std::move(report.receipts);
-            slot->coded = report.coded;
-          } else if (config.lossy_transport) {
-            transport::LossySettler settler(batch, config.transport,
-                                            *key_cache);
-            slot->receipts = settler.settle(items, 1).receipts;
-          } else {
-            core::BatchSettler settler(batch, *key_cache);
-            slot->receipts = settler.settle(items, 1);
-          }
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-
-  // Merge in shard order == ue_index order (slices are contiguous), so
-  // records, receipts and gap samples come out exactly as a serial run
-  // over the whole fleet would have produced them.
-  result.records.reserve(
-      static_cast<std::size_t>(std::max(0, config.ue_count)));
-  for (detail::ShardOutcome& slot : slots) {
-    for (UeRecord& record : slot.records) {
-      result.records.push_back(std::move(record));
-    }
-    for (core::SettlementReceipt& receipt : slot.receipts) {
-      result.receipts.push_back(std::move(receipt));
-    }
-    for (const auto& [scheme, samples] : slot.gap_samples) {
-      result.gap_samples[scheme].add_all(samples.values());
-    }
-    result.coded_totals += slot.coded;
-  }
-
-  epc::Ofcs ofcs(detail::fleet_plan(config));
-  detail::aggregate_fleet(config, ofcs, result, nullptr);
-  detail::compute_digests(result);
-  return result;
+  // The detached run is one supervised incarnation with durability
+  // off: no state_dir and no crash plan. Only durable-state I/O can
+  // fail, so the result is always present.
+  SupervisorConfig detached;
+  detached.fleet = config;
+  SupervisionStats stats;
+  return std::move(detail::run_incarnation(detached, stats)).value();
 }
 
 }  // namespace tlc::fleet

@@ -1,12 +1,12 @@
-// Fleet engine: runs every shard, merges their results, aggregates the
-// fleet through the OFCS and settles every (UE, cycle) pair via the
-// batch TLC API.
+// Fleet engine: runs every shard, merges their results, settles every
+// (UE, cycle) pair via the batch TLC API and aggregates the fleet
+// through the OFCS.
 //
 // This is the top of the determinism contract: `run_fleet` output is a
-// pure function of the FleetConfig. Shards execute concurrently on a
-// fixed-size thread pool but write pre-allocated, disjoint result
-// slots; merging walks those slots in shard order, settlement derives
-// all randomness from seed streams, and every floating-point
+// pure function of the FleetConfig. Shards and settlement groups fan
+// out over util::parallel_for but write pre-allocated, disjoint result
+// slots; merging walks those slots in shard (and UE) order, settlement
+// derives all randomness from seed streams, and every floating-point
 // accumulation happens in a sorted, thread-independent order. The
 // digests exist so tests (and benches) can assert bit-identity across
 // thread counts with one comparison.
@@ -48,7 +48,7 @@ struct FleetResult {
   std::vector<epc::SettlementCounters> settlement_by_cycle;
   epc::SettlementCounters settlement_totals;
 
-  /// Coded-transport census (§17), summed over shards in merge order.
+  /// Coded-transport census (§17), summed over UE groups in order.
   /// All-zero unless config.lossy_transport is on and
   /// config.transport.coding selects RLNC; bit-identical across
   /// thread counts like every other field here.
@@ -72,7 +72,9 @@ struct FleetResult {
 };
 
 /// Runs the whole fleet: shards on `config.threads` workers, then
-/// merge, settlement and OFCS aggregation.
+/// merge, settlement (UE groups on `config.threads` workers) and OFCS
+/// aggregation. The same pipeline `run_supervised_fleet` drives, with
+/// durability off.
 [[nodiscard]] FleetResult run_fleet(const FleetConfig& config);
 
 }  // namespace tlc::fleet

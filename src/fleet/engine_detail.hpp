@@ -1,19 +1,21 @@
-// Internal fleet-engine building blocks, shared by the plain engine
-// (engine.cpp) and the crash-supervised runner (supervisor.cpp).
+// Internal fleet-engine building blocks.
 //
-// One code path, two drivers: run_fleet composes these helpers
-// straight through, run_supervised_fleet interleaves them with
-// checkpoints, journals and crash-injection points. Everything here is
-// a pure function of its inputs, which is what makes the supervised
-// run's splice-and-resume provably bit-identical to the plain run —
-// the supervisor only ever substitutes a helper's output with that
-// same output recovered from disk.
+// One pipeline, one driver: `run_incarnation` runs shard → settle →
+// aggregate → digest once. `run_supervised_fleet` calls it in a loop
+// of incarnations with checkpoints, journals and crash-injection
+// points; `run_fleet` calls it once with durability off (empty
+// state_dir, no crash plan). Everything else here is a pure function
+// of its inputs, which is what makes a supervised run's
+// splice-and-resume bit-identical to the detached run — durability
+// only ever substitutes a helper's output with that same output
+// recovered from disk.
 #pragma once
 
 #include <functional>
 #include <vector>
 
 #include "fleet/engine.hpp"
+#include "fleet/supervisor.hpp"
 
 namespace tlc::fleet::detail {
 
@@ -27,17 +29,6 @@ struct ShardSlice {
 
 [[nodiscard]] std::vector<ShardSlice> partition_shards(
     const FleetConfig& config);
-
-/// Everything one shard job produces. Workers fill disjoint slots —
-/// records, receipts and gap samples alike — and the engine merges the
-/// slots in shard order after the pool drains, so the parallel phase
-/// shares no mutable state at all.
-struct ShardOutcome {
-  std::vector<UeRecord> records;
-  std::vector<core::SettlementReceipt> receipts;
-  std::map<testbed::Scheme, Samples> gap_samples;
-  transport::CodedCounters coded;
-};
 
 /// Runs one shard world to completion. Pure function of
 /// (config, slice) — a re-run after a crash reproduces the records
@@ -75,7 +66,17 @@ void aggregate_fleet(const FleetConfig& config, epc::Ofcs& ofcs,
 /// The data plan the fleet OFCS rates against.
 [[nodiscard]] charging::DataPlan fleet_plan(const FleetConfig& config);
 
-/// Fills the three SHA-256 digests from the result's own fields.
+/// Fills the five SHA-256 digests from the result's own fields.
 void compute_digests(FleetResult& result);
+
+/// One incarnation of the whole pipeline: shards on
+/// `config.fleet.threads` workers, then settlement, OFCS aggregation
+/// and digests. With a non-empty `state_dir` every phase resumes from
+/// and persists durable state; with an empty one no file is read or
+/// written, and settlement is one settler call over every item.
+/// Throws recovery::CrashException / WedgeException when
+/// `config.plan` fires one outside a shard's watchdog.
+[[nodiscard]] Expected<FleetResult> run_incarnation(
+    const SupervisorConfig& config, SupervisionStats& stats);
 
 }  // namespace tlc::fleet::detail

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <optional>
+#include <iterator>
 #include <utility>
 #include <vector>
 
 #include "core/batch_settlement.hpp"
 #include "fleet/engine_detail.hpp"
-#include "fleet/thread_pool.hpp"
 #include "recovery/checkpoint.hpp"
 #include "recovery/state_log.hpp"
 #include "transport/coded_session.hpp"
@@ -16,6 +15,7 @@
 #include "transport/settlement_journal.hpp"
 #include "util/fileio.hpp"
 #include "util/logging.hpp"
+#include "util/parallel_for.hpp"
 #include "util/serde.hpp"
 
 namespace tlc::fleet {
@@ -215,8 +215,13 @@ Expected<std::vector<UeRecord>> decode_shard_records(const Bytes& data) {
 }
 
 // ---------------------------------------------------------------------
-// State-file layout under config.state_dir.
+// State-file layout under config.state_dir. An empty state_dir turns
+// durability off: nothing below reads or writes a file.
 // ---------------------------------------------------------------------
+
+bool durable(const SupervisorConfig& config) {
+  return !config.state_dir.empty();
+}
 
 std::string shard_checkpoint_path(const SupervisorConfig& config, int shard) {
   return config.state_dir + "/shard-" + std::to_string(shard) + ".ckpt";
@@ -229,8 +234,8 @@ std::string settle_journal_path(const SupervisorConfig& config) {
 // ---------------------------------------------------------------------
 // Shard phase: run (or reuse) every shard under a per-shard wedge
 // watchdog. Workers never touch shared state — each fills its own
-// SliceOutcome slot, and the supervisor folds the slots in shard order
-// after the join so stats are deterministic at any thread count.
+// SliceOutcome slot, and the slots fold in shard order after the
+// fan-out so records and stats are deterministic at any thread count.
 // ---------------------------------------------------------------------
 
 struct SliceOutcome {
@@ -238,10 +243,11 @@ struct SliceOutcome {
   int wedges = 0;
   int restarts = 0;
   bool reused_checkpoint = false;
-  std::optional<recovery::CrashException> kill;
   Status error = Status::Ok();
 };
 
+/// A CrashException escapes to the fan-out, which rethrows it on the
+/// supervisor's thread once the other workers stop.
 SliceOutcome run_one_shard(const SupervisorConfig& config,
                            const detail::ShardSlice& slice) {
   SliceOutcome out;
@@ -250,22 +256,24 @@ SliceOutcome run_one_shard(const SupervisorConfig& config,
       shard_checkpoint_path(config, slice.shard_index);
   for (int attempt = 0;; ++attempt) {
     try {
-      auto existing = recovery::read_checkpoint_if_present(ckpt_path);
-      if (!existing) {
-        out.error = Err(existing.error());
-        return out;
-      }
-      if (existing->has_value()) {
-        auto records = decode_shard_records(**existing);
-        if (!records) {
-          // The rename protocol never leaves a torn checkpoint, so a
-          // corrupt one means the storage lied — surface it.
-          out.error = Err(records.error());
+      if (durable(config)) {
+        auto existing = recovery::read_checkpoint_if_present(ckpt_path);
+        if (!existing) {
+          out.error = Err(existing.error());
           return out;
         }
-        out.records = std::move(*records);
-        out.reused_checkpoint = true;
-        return out;
+        if (existing->has_value()) {
+          auto records = decode_shard_records(**existing);
+          if (!records) {
+            // The rename protocol never leaves a torn checkpoint, so a
+            // corrupt one means the storage lied — surface it.
+            out.error = Err(records.error());
+            return out;
+          }
+          out.records = std::move(*records);
+          out.reused_checkpoint = true;
+          return out;
+        }
       }
       if (config.plan != nullptr) {
         config.plan->fire(recovery::kCrashShardRun, scope);
@@ -275,11 +283,13 @@ SliceOutcome run_one_shard(const SupervisorConfig& config,
       if (config.plan != nullptr) {
         config.plan->fire(recovery::kCrashShardWedge, scope);
       }
-      Status wrote = recovery::write_checkpoint(
-          ckpt_path, encode_shard_records(records), config.plan, scope);
-      if (!wrote.ok()) {
-        out.error = wrote;
-        return out;
+      if (durable(config)) {
+        Status wrote = recovery::write_checkpoint(
+            ckpt_path, encode_shard_records(records), config.plan, scope);
+        if (!wrote.ok()) {
+          out.error = wrote;
+          return out;
+        }
       }
       out.records = std::move(records);
       return out;
@@ -295,49 +305,25 @@ SliceOutcome run_one_shard(const SupervisorConfig& config,
         out.error = Err("supervisor: shard wedged past the watchdog budget");
         return out;
       }
-    } catch (const recovery::CrashException& crash) {
-      out.kill = crash;
-      return out;
     }
   }
 }
 
-// Runs the shard phase. Throws CrashException when any worker died;
-// returns a Status error for non-crash failures.
 Status run_shard_phase(const SupervisorConfig& config,
                        const std::vector<detail::ShardSlice>& slices,
                        SupervisionStats& stats, FleetResult& result) {
   std::vector<SliceOutcome> slots(slices.size());
-  {
-    ThreadPool pool(config.fleet.threads);
-    for (std::size_t i = 0; i < slices.size(); ++i) {
-      const detail::ShardSlice slice = slices[i];
-      SliceOutcome* slot = &slots[i];
-      pool.submit([&config, slice, slot] {
-        *slot = run_one_shard(config, slice);
-      });
-    }
-    pool.wait_idle();
-  }
-
-  // Fold stats first (in shard order), then report the death: every
-  // kill in a dying incarnation replicates the same site, so throwing
-  // the first one loses nothing.
-  std::optional<recovery::CrashException> kill;
-  Status error = Status::Ok();
-  for (SliceOutcome& slot : slots) {
-    stats.wedges += slot.wedges;
-    stats.shard_restarts += slot.restarts;
-    if (slot.reused_checkpoint) ++stats.shard_checkpoints_reused;
-    if (slot.kill.has_value() && !kill.has_value()) kill = slot.kill;
-    if (!slot.error.ok() && error.ok()) error = slot.error;
-  }
-  if (kill.has_value()) throw *kill;
-  if (!error.ok()) return error;
+  util::parallel_for(slices.size(), config.fleet.threads, [&](std::size_t i) {
+    slots[i] = run_one_shard(config, slices[i]);
+  });
 
   result.records.reserve(
       static_cast<std::size_t>(std::max(0, config.fleet.ue_count)));
   for (SliceOutcome& slot : slots) {
+    stats.wedges += slot.wedges;
+    stats.shard_restarts += slot.restarts;
+    if (slot.reused_checkpoint) ++stats.shard_checkpoints_reused;
+    if (!slot.error.ok()) return slot.error;
     for (UeRecord& record : slot.records) {
       result.records.push_back(std::move(record));
     }
@@ -346,14 +332,49 @@ Status run_shard_phase(const SupervisorConfig& config,
 }
 
 // ---------------------------------------------------------------------
-// Settlement phase: chunks of whole UE groups, journaled as they
-// finish, recovered chunks spliced back byte-for-byte.
+// Settlement phase. Durable runs settle chunks of whole UE groups,
+// journaled as they finish, with recovered chunks spliced back
+// byte-for-byte. Chunks exist only as journal keys, so with durability
+// off one settler call covers the whole item list.
 // ---------------------------------------------------------------------
+
+/// The fleet's one settler choice: coded, stop-and-wait or in-process,
+/// picked by which settler is constructed. All three take the same
+/// crash plan and fan UE groups out over `threads` workers.
+transport::LossyBatchReport settle_items(
+    const SupervisorConfig& config, const core::RsaKeyCache& keys,
+    const std::vector<core::SettlementItem>& items) {
+  const FleetConfig& fleet = config.fleet;
+  const core::BatchConfig batch = detail::make_batch_config(fleet);
+  const auto settle = [&](auto settler) {
+    settler.set_crash_plan(config.plan);
+    return settler.settle(items, fleet.threads);
+  };
+  if (!fleet.lossy_transport) {
+    transport::LossyBatchReport report;
+    report.receipts = settle(core::BatchSettler(batch, keys));
+    return report;
+  }
+  if (fleet.transport.coding == transport::Coding::Rlnc) {
+    return settle(transport::CodedSettler(batch, fleet.transport, keys));
+  }
+  return settle(transport::LossySettler(batch, fleet.transport, keys));
+}
 
 Status run_settle_phase(const SupervisorConfig& config,
                         SupervisionStats& stats, FleetResult& result) {
   const std::vector<core::SettlementItem> items =
       detail::settlement_items(result.records, config.fleet);
+  const core::RsaKeyCache keys(config.fleet.rsa_bits,
+                               config.fleet.key_cache_slots,
+                               detail::key_cache_seed(config.fleet));
+
+  if (!durable(config)) {
+    transport::LossyBatchReport report = settle_items(config, keys, items);
+    result.receipts = std::move(report.receipts);
+    result.coded_totals = report.coded;
+    return Status::Ok();
+  }
 
   auto journal = transport::SettlementJournal::open(
       settle_journal_path(config), config.plan, /*scope=*/0);
@@ -375,12 +396,6 @@ Status run_settle_phase(const SupervisorConfig& config,
     i = j;
   }
 
-  const core::RsaKeyCache keys(config.fleet.rsa_bits,
-                               config.fleet.key_cache_slots,
-                               detail::key_cache_seed(config.fleet));
-  const core::BatchConfig batch = detail::make_batch_config(config.fleet);
-
-  result.receipts.clear();
   result.receipts.reserve(items.size());
   for (std::size_t chunk_index = 0; chunk_index < chunks.size();
        ++chunk_index) {
@@ -397,73 +412,33 @@ Status run_settle_phase(const SupervisorConfig& config,
     const std::vector<core::SettlementItem> chunk_items(
         items.begin() + static_cast<std::ptrdiff_t>(begin),
         items.begin() + static_cast<std::ptrdiff_t>(end));
-    std::vector<core::SettlementReceipt> receipts;
-    transport::CodedCounters coded;
-    if (config.fleet.lossy_transport &&
-        config.fleet.transport.coding == transport::Coding::Rlnc) {
-      transport::CodedSettler settler(batch, config.fleet.transport, keys);
-      settler.set_crash_plan(config.plan);
-      transport::LossyBatchReport report =
-          settler.settle(chunk_items, config.fleet.threads);
-      receipts = std::move(report.receipts);
-      coded = report.coded;
-    } else if (config.fleet.lossy_transport) {
-      transport::LossySettler settler(batch, config.fleet.transport, keys);
-      settler.set_crash_plan(config.plan);
-      receipts =
-          settler.settle(chunk_items, config.fleet.threads).receipts;
-    } else {
-      // The in-process settler has no crash hook; fire the settle-cycle
-      // point once per UE group here so lossless runs crash too.
-      if (config.plan != nullptr) {
-        std::uint64_t last_ue = ~0ULL;
-        for (const core::SettlementItem& item : chunk_items) {
-          if (item.ue_id == last_ue) continue;
-          last_ue = item.ue_id;
-          config.plan->fire(recovery::kCrashSettleCycle, item.ue_id);
-        }
-      }
-      core::BatchSettler settler(batch, keys);
-      receipts = settler.settle(chunk_items, config.fleet.threads);
-    }
+    transport::LossyBatchReport report =
+        settle_items(config, keys, chunk_items);
     Status journaled = journal->record_chunk(
-        static_cast<std::uint32_t>(chunk_index), receipts, coded);
+        static_cast<std::uint32_t>(chunk_index), report.receipts,
+        report.coded);
     if (!journaled.ok()) return journaled;
-    result.receipts.insert(result.receipts.end(), receipts.begin(),
-                           receipts.end());
-    result.coded_totals += coded;
+    result.receipts.insert(result.receipts.end(),
+                           std::make_move_iterator(report.receipts.begin()),
+                           std::make_move_iterator(report.receipts.end()));
+    result.coded_totals += report.coded;
   }
   return Status::Ok();
 }
 
 // ---------------------------------------------------------------------
-// One incarnation: shards → settlement → OFCS aggregation, resuming
-// from whatever previous incarnations made durable.
+// Aggregation phase, durable flavour: the OFCS ledger runs write-ahead
+// over a StateLog and checkpoints every `checkpoint_every_cycles`.
 // ---------------------------------------------------------------------
 
-Expected<FleetResult> run_attempt(const SupervisorConfig& config,
-                                  SupervisionStats& stats) {
-  FleetResult result;
-  const std::vector<detail::ShardSlice> slices =
-      detail::partition_shards(config.fleet);
-  if (slices.empty()) return result;
-
-  Status shard_status = run_shard_phase(config, slices, stats, result);
-  if (!shard_status.ok()) return Err(shard_status.error());
-
-  detail::collect_gap_samples(result.records, result.gap_samples);
-
-  if (config.fleet.settle) {
-    Status settle_status = run_settle_phase(config, stats, result);
-    if (!settle_status.ok()) return Err(settle_status.error());
-  }
-
+Status aggregate_durably(const SupervisorConfig& config,
+                         SupervisionStats& stats, FleetResult& result) {
   auto log = recovery::StateLog::open(config.state_dir, "ofcs", config.plan,
                                       /*scope=*/0);
   if (!log) return Err(log.error());
   epc::Ofcs ofcs(detail::fleet_plan(config.fleet));
   Status attached = ofcs.attach_recovery(&*log);
-  if (!attached.ok()) return Err(attached.error());
+  if (!attached.ok()) return attached;
 
   const int every = std::max(1, config.checkpoint_every_cycles);
   Status checkpoint_error = Status::Ok();
@@ -475,14 +450,10 @@ Expected<FleetResult> run_attempt(const SupervisorConfig& config,
                               checkpoint_error = s;
                             }
                           });
-  if (!ofcs.recovery_error().ok()) {
-    return Err(ofcs.recovery_error().error());
-  }
-  if (!checkpoint_error.ok()) return Err(checkpoint_error.error());
+  if (!ofcs.recovery_error().ok()) return ofcs.recovery_error();
+  if (!checkpoint_error.ok()) return checkpoint_error;
   stats.duplicate_ops_dropped += ofcs.duplicate_ops_dropped();
-
-  detail::compute_digests(result);
-  return result;
+  return Status::Ok();
 }
 
 void remove_state_files(const SupervisorConfig& config,
@@ -501,6 +472,38 @@ void remove_state_files(const SupervisorConfig& config,
 
 }  // namespace
 
+namespace detail {
+
+Expected<FleetResult> run_incarnation(const SupervisorConfig& config,
+                                      SupervisionStats& stats) {
+  FleetResult result;
+  const std::vector<ShardSlice> slices = partition_shards(config.fleet);
+  if (slices.empty()) return result;
+
+  Status shard_status = run_shard_phase(config, slices, stats, result);
+  if (!shard_status.ok()) return Err(shard_status.error());
+
+  collect_gap_samples(result.records, result.gap_samples);
+
+  if (config.fleet.settle) {
+    Status settle_status = run_settle_phase(config, stats, result);
+    if (!settle_status.ok()) return Err(settle_status.error());
+  }
+
+  if (durable(config)) {
+    Status aggregated = aggregate_durably(config, stats, result);
+    if (!aggregated.ok()) return Err(aggregated.error());
+  } else {
+    epc::Ofcs ofcs(fleet_plan(config.fleet));
+    aggregate_fleet(config.fleet, ofcs, result, nullptr);
+  }
+
+  compute_digests(result);
+  return result;
+}
+
+}  // namespace detail
+
 Expected<SupervisedResult> run_supervised_fleet(
     const SupervisorConfig& config) {
   if (config.state_dir.empty()) {
@@ -516,7 +519,7 @@ Expected<SupervisedResult> run_supervised_fleet(
     ++stats.incarnations;
     if (config.plan != nullptr) config.plan->begin_incarnation();
     try {
-      auto result = run_attempt(config, stats);
+      auto result = detail::run_incarnation(config, stats);
       if (!result) return Err(result.error());
       remove_state_files(config, detail::partition_shards(config.fleet));
       return SupervisedResult{std::move(*result), stats};

@@ -18,7 +18,8 @@
 //      re-executing the aggregation pass over a recovered ledger is a
 //      stream of deduped no-ops up to the crash point.
 //
-// An incarnation is one attempt at the whole pipeline. A Kill anywhere
+// An incarnation is one attempt at the whole pipeline — the same
+// pipeline `run_fleet` runs once with durability off. A Kill anywhere
 // aborts the attempt (concurrent workers bail at their next
 // instrumented point via the plan's dying-state replication); the
 // supervisor begins a new incarnation and resumes from whatever state
@@ -39,8 +40,9 @@ namespace tlc::fleet {
 struct SupervisorConfig {
   FleetConfig fleet;
   /// Directory for checkpoints and journals; created if absent. Must
-  /// be set — crash consistency without a place to put state is not a
-  /// thing.
+  /// be set for run_supervised_fleet — crash consistency without a
+  /// place to put state is not a thing. Empty means durability off,
+  /// which is how run_fleet drives the same pipeline.
   std::string state_dir;
   /// Crash injection; nullptr = run with recovery machinery but no
   /// injected faults.

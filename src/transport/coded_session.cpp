@@ -5,8 +5,8 @@
 
 #include "recovery/crc32c.hpp"
 #include "sim/rng_stream.hpp"
-#include "transport/group_runner.hpp"
 #include "transport/settlement_journal.hpp"
+#include "util/parallel_for.hpp"
 #include "util/serde.hpp"
 
 namespace tlc::transport {
@@ -453,13 +453,14 @@ LossyBatchReport CodedSettler::settle(
     const std::vector<core::SettlementItem>& items, unsigned threads) const {
   LossyBatchReport report;
   report.receipts.resize(items.size());
-  const std::deque<detail::UeGroup> groups =
-      detail::group_by_ue(items, report.receipts);
-  // Per-group counters merge after the pool drains, in group order —
-  // the same discipline that keeps receipts thread-count independent.
+  const std::vector<core::UeGroup> groups =
+      core::group_by_ue(items, report.receipts);
+  // Per-group counters merge after the fan-out, in group order — the
+  // same discipline that keeps receipts thread-count independent.
   std::vector<CodedCounters> counters(groups.size());
 
-  auto run_group = [&](const detail::UeGroup& group, std::size_t gi) {
+  util::parallel_for(groups.size(), threads, [&](std::size_t gi) {
+    const core::UeGroup& group = groups[gi];
     const std::uint64_t ue = group.ue_id;
     std::vector<core::SettlementItem> group_items;
     group_items.reserve(group.item_indices.size());
@@ -532,9 +533,7 @@ LossyBatchReport CodedSettler::settle(
       report.receipts[group.item_indices[j]] =
           std::move(fallback_report.receipts[j]);
     }
-  };
-
-  detail::run_groups(groups, threads, run_group);
+  });
   for (const CodedCounters& group_counters : counters) {
     report.coded += group_counters;
   }

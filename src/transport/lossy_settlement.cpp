@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "sim/rng_stream.hpp"
-#include "transport/group_runner.hpp"
 #include "transport/settlement_runner.hpp"
+#include "util/parallel_for.hpp"
 
 namespace tlc::transport {
 
@@ -19,10 +19,13 @@ LossyBatchReport LossySettler::settle(
 
   // Same grouping as BatchSettler: by UE in first-appearance order,
   // item n of a UE = its cycle n.
-  const std::deque<detail::UeGroup> groups =
-      detail::group_by_ue(items, report.receipts);
+  const std::vector<core::UeGroup> groups =
+      core::group_by_ue(items, report.receipts);
 
-  auto run_group = [&](const detail::UeGroup& group, std::size_t) {
+  // Each group is a pure function of its inputs and writes only its own
+  // receipt slots, so results never depend on the worker count.
+  util::parallel_for(groups.size(), threads, [&](std::size_t g) {
+    const core::UeGroup& group = groups[g];
     const std::uint64_t ue = group.ue_id;
     auto edge = core::make_batch_session(config_, keys_, ue,
                                          core::PartyRole::EdgeVendor,
@@ -77,11 +80,32 @@ LossyBatchReport LossySettler::settle(
       receipt.retransmits = result.retransmits;
       receipt.failure_reason = std::move(result.failure_reason);
     }
-  };
-
-  detail::run_groups(groups, threads, run_group);
+  });
   detail::fill_census(report);
   return report;
 }
+
+namespace detail {
+
+void fill_census(LossyBatchReport& report) {
+  for (const core::SettlementReceipt& receipt : report.receipts) {
+    switch (receipt.outcome) {
+      case core::SettleOutcome::Converged:
+        ++report.converged;
+        break;
+      case core::SettleOutcome::Retried:
+        ++report.retried;
+        break;
+      case core::SettleOutcome::Degraded:
+        ++report.degraded;
+        break;
+      case core::SettleOutcome::RejectedTamper:
+        ++report.rejected_tamper;
+        break;
+    }
+  }
+}
+
+}  // namespace detail
 
 }  // namespace tlc::transport

@@ -48,8 +48,8 @@ class LossySettler {
   /// Wires in crash injection: the settle-cycle point fires before
   /// each (UE, cycle) negotiation, scoped by UE id so the schedule is
   /// thread-count independent. A CrashException raised inside a worker
-  /// is caught there, the remaining workers drain, and it is rethrown
-  /// from the calling thread — the supervisor sees one clean crash.
+  /// stops the fan-out and is rethrown from the calling thread once
+  /// every worker has joined — the supervisor sees one clean crash.
   void set_crash_plan(recovery::CrashPlan* plan) { plan_ = plan; }
 
   /// Settles every item; same grouping, ordering and threading rules
@@ -65,4 +65,11 @@ class LossySettler {
   recovery::CrashPlan* plan_ = nullptr;
 };
 
+namespace detail {
+
+/// Fills the per-outcome census from the receipts, in input order — a
+/// pure function of the receipts.
+void fill_census(LossyBatchReport& report);
+
+}  // namespace detail
 }  // namespace tlc::transport

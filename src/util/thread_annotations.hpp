@@ -1,7 +1,7 @@
 // Clang thread-safety annotations and the annotated lock primitives.
 //
 // The fleet's determinism story (DESIGN.md §7) rests on "shards never
-// share mutable state except through the thread pool's queue". That
+// share mutable state except through the fan-out's work counter". That
 // invariant was previously enforced only at runtime (the tsan preset);
 // these macros promote it to compile time: when the compiler is Clang,
 // `-Wthread-safety -Werror` rejects any access to a TLC_GUARDED_BY

@@ -246,6 +246,24 @@ TEST_F(SupervisorCrashDeterminismTest, KillAtEverySupervisorPointConverges) {
   }
 }
 
+TEST_F(SupervisorCrashDeterminismTest, LosslessSettleCycleFiresPerCycle) {
+  // The in-process settler fires settle-cycle once per (UE, cycle) like
+  // the transport settlers, so a site armed at UE 3's second cycle
+  // (hit 1) is reachable on a lossless run and kills exactly once.
+  recovery::CrashPlan plan;
+  plan.arm({recovery::kCrashSettleCycle, /*scope=*/3, /*hit=*/1,
+            recovery::CrashKind::Kill});
+  SupervisorConfig config;
+  config.fleet = soak_fleet(2, false);
+  config.state_dir = state_dir_for("settle_cycle_hit", 1);
+  config.plan = &plan;
+  auto supervised = run_supervised_fleet(config);
+  ASSERT_TRUE(supervised.has_value()) << supervised.error();
+  expect_identical(supervised->result, *lossless_, "settle-cycle hit 1");
+  EXPECT_EQ(supervised->stats.crashes, 1);
+  EXPECT_EQ(supervised->stats.incarnations, 2);
+}
+
 TEST_F(SupervisorCrashDeterminismTest, WedgedShardRestartsWithoutNewIncarnation) {
   recovery::CrashPlan plan;
   plan.arm({recovery::kCrashShardWedge, 1, 0, recovery::CrashKind::Wedge});
