@@ -1,6 +1,5 @@
 #include "core/batch_settlement.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <unordered_map>
 #include <utility>
@@ -172,9 +171,9 @@ void finish_group_cycle(Group& group, SettlementReceipt& receipt) {
   receipt.outcome = SettleOutcome::Converged;
 }
 
-/// All cycles of one group through a local FIFO pump (every path but
-/// the interleave hook's). Sessions live only while the group runs, so
-/// a batch holds one pair per worker rather than one per UE.
+/// All cycles of one group through a local FIFO pump. Sessions live
+/// only while the group runs, so a batch holds one pair per worker
+/// rather than one per UE.
 void run_group(Group& group, const BatchConfig& config,
                const RsaKeyCache& keys, recovery::CrashPlan* plan,
                const std::vector<SettlementItem>& items,
@@ -210,55 +209,6 @@ std::vector<SettlementReceipt> BatchSettler::settle(
   std::vector<Group> groups(ue_groups.size());
   for (std::size_t g = 0; g < groups.size(); ++g) {
     groups[g].ue = &ue_groups[g];
-  }
-
-  if (threads <= 1 && interleave_) {
-    // Lockstep waves: cycle k of every group runs concurrently through
-    // a shared pump, one message per visited group per round, visiting
-    // order chosen by the hook — cross-session reordering with
-    // per-session FIFO intact.
-    std::size_t max_cycles = 0;
-    for (Group& group : groups) {
-      open_sessions(group, config_, keys_);
-      max_cycles = std::max(max_cycles, group.ue->item_indices.size());
-    }
-    for (std::size_t cycle = 0; cycle < max_cycles; ++cycle) {
-      std::vector<std::size_t> active;
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        Group& group = groups[g];
-        if (cycle >= group.ue->item_indices.size()) continue;
-        if (plan_ != nullptr) {
-          plan_->fire(recovery::kCrashSettleCycle, group.ue->ue_id);
-        }
-        const std::size_t item_index = group.ue->item_indices[cycle];
-        if (begin_group_cycle(group, items[item_index])) {
-          active.push_back(g);
-        } else {
-          poison(group, "cycle could not start");
-          receipts[item_index].failure_reason = group.poison_reason;
-        }
-      }
-      for (;;) {
-        std::vector<std::size_t> pending;
-        for (std::size_t g : active) {
-          if (!groups[g].wire.empty() && !groups[g].poisoned) {
-            pending.push_back(g);
-          }
-        }
-        if (pending.empty()) break;
-        interleave_(pending);
-        for (std::size_t g : pending) {
-          if (!groups[g].wire.empty() && !groups[g].poisoned) {
-            deliver_one(groups[g]);
-          }
-        }
-      }
-      for (std::size_t g : active) {
-        finish_group_cycle(groups[g],
-                           receipts[groups[g].ue->item_indices[cycle]]);
-      }
-    }
-    return receipts;
   }
 
   // Each group is fully local to one worker and writes only its own

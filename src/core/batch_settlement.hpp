@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/tlc_session.hpp"
@@ -125,18 +124,8 @@ struct UeGroup {
 
 class BatchSettler {
  public:
-  /// Test hook: permutes which session delivers its next pending
-  /// message first during the single-threaded pump. Receives the
-  /// currently-pending UE group order; per-session FIFO is preserved
-  /// regardless of the permutation.
-  using InterleaveFn = std::function<void(std::vector<std::size_t>& order)>;
-
   /// `keys` must outlive the settler.
   BatchSettler(BatchConfig config, const RsaKeyCache& keys);
-
-  void set_interleave(InterleaveFn interleave) {
-    interleave_ = std::move(interleave);
-  }
 
   /// Wires in crash injection with the transport settlers' contract:
   /// the settle-cycle point fires before each (UE, cycle) negotiation,
@@ -156,7 +145,6 @@ class BatchSettler {
  private:
   BatchConfig config_;
   const RsaKeyCache& keys_;
-  InterleaveFn interleave_;
   recovery::CrashPlan* plan_ = nullptr;
 };
 

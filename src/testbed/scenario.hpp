@@ -107,9 +107,9 @@ struct FleetMember {
 
 /// Lifts a base scenario to one fleet member's scenario: applies the
 /// member overrides and leaves every shared knob untouched. The lift is
-/// the single place the base → per-UE mapping lives, so a one-UE
-/// Testbed run with a lifted config and a fleet shard slot agree on
-/// what the member's world looks like.
+/// the single place the base → per-UE mapping lives; the lifted config
+/// then drives the same `make_app_source` and `UeMeters` a one-UE
+/// Testbed uses, so both meter a member's world with one code path.
 [[nodiscard]] ScenarioConfig lift_scenario(const ScenarioConfig& base,
                                            const FleetMember& member);
 

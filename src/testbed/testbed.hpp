@@ -13,8 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "charging/monitors.hpp"
-#include "charging/sampler.hpp"
 #include "epc/enodeb.hpp"
 #include "epc/hss.hpp"
 #include "epc/mme.hpp"
@@ -25,26 +23,10 @@
 #include "sim/simulator.hpp"
 #include "testbed/edge_server.hpp"
 #include "testbed/scenario.hpp"
+#include "testbed/ue_meters.hpp"
 #include "workloads/source.hpp"
 
 namespace tlc::testbed {
-
-/// Everything measured for one charging cycle.
-struct CycleMeasurements {
-  // Ground truth at exact nominal boundaries.
-  std::uint64_t true_sent = 0;      // x̂e
-  std::uint64_t true_received = 0;  // x̂o
-  // Edge vendor's sampled view (its own clock).
-  std::uint64_t edge_sent = 0;
-  std::uint64_t edge_received = 0;
-  // Operator's sampled view (its own clock; received/sent side via RRC
-  // COUNTER CHECK or the gateway depending on direction).
-  std::uint64_t op_sent = 0;
-  std::uint64_t op_received = 0;
-  // What the legacy 4G/5G bill would be based on (the gateway CDR for
-  // the app's direction).
-  std::uint64_t gateway_volume = 0;
-};
 
 /// One sample of the Fig 4 timeline.
 struct TimelinePoint {
@@ -98,10 +80,7 @@ class Testbed {
   static constexpr std::uint32_t kBackgroundFlow = 2;
 
   void wire_attach_handling();
-  void build_sources();
-  void build_background_source(sim::Direction direction);
-  void build_samplers();
-  void schedule_cycle_boundaries();
+  void build_background_source();
   void on_app_receive(const sim::Packet& packet);
   void record_timeline_point();
   void send_ping();
@@ -124,20 +103,7 @@ class Testbed {
   std::unique_ptr<workloads::TrafficSource> app_source_;
   std::unique_ptr<workloads::TrafficSource> bg_source_;
 
-  // Operator's tamper-resilient monitors (fed by COUNTER CHECK).
-  charging::RrcCounterMonitor rrc_ul_{charging::RrcCounterMonitor::Track::Uplink};
-  charging::RrcCounterMonitor rrc_dl_{
-      charging::RrcCounterMonitor::Track::Downlink};
-
-  // Cumulative-counter adapters (constructed in build_samplers()).
-  std::vector<std::unique_ptr<charging::UsageMonitor>> monitors_;
-  std::unique_ptr<charging::CycleSampler> true_sent_sampler_;
-  std::unique_ptr<charging::CycleSampler> true_received_sampler_;
-  std::unique_ptr<charging::CycleSampler> edge_sent_sampler_;
-  std::unique_ptr<charging::CycleSampler> edge_received_sampler_;
-  std::unique_ptr<charging::CycleSampler> op_sent_sampler_;
-  std::unique_ptr<charging::CycleSampler> op_received_sampler_;
-  std::unique_ptr<charging::CycleSampler> gateway_sampler_;
+  std::unique_ptr<UeMeters> meters_;
 
   bool ran_ = false;
   std::vector<CycleMeasurements> cycles_;

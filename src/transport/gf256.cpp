@@ -15,7 +15,7 @@ struct Tables {
       exp_[i] = static_cast<std::uint8_t>(x);
       exp_[i + 255] = static_cast<std::uint8_t>(x);
       log_[x] = static_cast<std::uint8_t>(i);
-      x <<= 1;
+      x = static_cast<std::uint16_t>(x << 1);
       if ((x & 0x100) != 0) x ^= kPolynomial;
     }
     exp_[510] = exp_[0];

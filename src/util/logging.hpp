@@ -1,8 +1,10 @@
 // Leveled logging for the library.
 //
 // Defaults to Warn so tests and benches stay quiet; examples raise the
-// level to show the protocol in action. Not thread-safe by design — the
-// simulator is single-threaded.
+// level to show the protocol in action. Safe to call from any thread:
+// shards and settlers log from `util::parallel_for` workers. The level
+// is an atomic, and each line is a single `fprintf`, which holds the
+// stream lock, so concurrent lines never interleave mid-line.
 #pragma once
 
 #include <sstream>

@@ -54,9 +54,8 @@ TEST(MerkleTest, LeafDomainSeparationChangesTheHash) {
   // A leaf hash is SHA-256(0x00 || data), never the bare digest — a
   // 65-byte node preimage can't masquerade as a leaf.
   const Bytes data = bytes_of("x");
-  EXPECT_NE(Bytes(merkle_leaf_hash(data).begin(),
-                  merkle_leaf_hash(data).end()),
-            sha256(data));
+  const auto leaf = merkle_leaf_hash(data);
+  EXPECT_NE(Bytes(leaf.begin(), leaf.end()), sha256(data));
 }
 
 // Every count from 1 to 40 covers odd node counts at every level

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
@@ -17,7 +16,6 @@
 
 #include "sim/rng_stream.hpp"
 #include "util/bytes.hpp"
-#include "util/rng.hpp"
 
 namespace tlc::core {
 namespace {
@@ -179,27 +177,6 @@ TEST_F(BatchSettlementTest, ReceiptsIdenticalForEveryThreadCount) {
   BatchSettler settler(batch_config(), *keys_);
   expect_matches_reference(settler.settle(make_items(), 2));
   expect_matches_reference(settler.settle(make_items(), 8));
-}
-
-TEST_F(BatchSettlementTest, CrossSessionReorderingDoesNotChangeReceipts) {
-  // Reversing the pump's visiting order every round is the maximal
-  // reordering between sessions while per-session FIFO holds.
-  BatchSettler settler(batch_config(), *keys_);
-  settler.set_interleave(
-      [](std::vector<std::size_t>& order) { std::reverse(order.begin(), order.end()); });
-  expect_matches_reference(settler.settle(make_items(), 1));
-}
-
-TEST_F(BatchSettlementTest, SeededShuffleReorderingDoesNotChangeReceipts) {
-  BatchSettler settler(batch_config(), *keys_);
-  Rng shuffle_rng(0x0dd5);
-  settler.set_interleave([&shuffle_rng](std::vector<std::size_t>& order) {
-    for (std::size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1],
-                order[static_cast<std::size_t>(shuffle_rng.uniform_u64(i))]);
-    }
-  });
-  expect_matches_reference(settler.settle(make_items(), 1));
 }
 
 TEST_F(BatchSettlementTest, CycleMajorInputOrderSettlesIdentically) {

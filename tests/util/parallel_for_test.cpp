@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "recovery/crash_plan.hpp"
+#include "util/logging.hpp"
 
 namespace tlc::util {
 namespace {
@@ -64,6 +65,30 @@ TEST(ParallelForTest, RethrowsCrashOnCallerAfterJoin) {
       EXPECT_EQ(ran.load(), kThrower + 1);
     }
   }
+}
+
+TEST(ParallelForTest, WorkersMayLogWhileTheLevelChanges) {
+  // Shard and settler bodies log from workers (TLC_WARN reads the level)
+  // while another thread may change it. The level toggles between Error
+  // and Off, so the Warn lines are read-and-filtered, never printed.
+  const LogLevel saved = log_level();
+  set_log_level(LogLevel::Error);
+  std::atomic<bool> done{false};
+  std::thread fan_out([&done] {
+    parallel_for(32, 4, [](std::size_t i) {
+      for (int k = 0; k < 200; ++k) {
+        TLC_WARN("parallel_for_test") << "index " << i << " line " << k;
+      }
+    });
+    done.store(true);
+  });
+  bool off = false;
+  do {
+    set_log_level(off ? LogLevel::Off : LogLevel::Error);
+    off = !off;
+  } while (!done.load());
+  fan_out.join();
+  set_log_level(saved);
 }
 
 }  // namespace
