@@ -34,24 +34,18 @@ std::size_t EnodeB::queue_index(sim::Qci qci) {
 void EnodeB::add_ue(Imsi imsi, RrcEndpoint* endpoint,
                     sim::RadioChannel* radio) {
   UeCtx& ue = ues_[imsi];
+  ue.imsi = imsi;
   ue.endpoint = endpoint;
   ue.radio = radio;
   ue.last_activity = sim_.now();
 }
 
-void EnodeB::flush_ue(QueueSet& set, Imsi imsi,
+void EnodeB::flush_ue(QueueSet& set, UeCtx& ue,
                       std::uint64_t& flush_counter) {
   for (std::size_t q = 0; q < kQueues; ++q) {
-    auto& queue = set.queues[q];
-    for (auto it = queue.begin(); it != queue.end();) {
-      if (it->imsi == imsi) {
-        set.bytes[q] -= std::min<std::uint64_t>(set.bytes[q],
-                                                it->packet.size_bytes);
-        it = queue.erase(it);
-        ++flush_counter;
-      } else {
-        ++it;
-      }
+    while (ue.fifos[set.direction][q].head != kNil) {
+      take(set, Entry{&ue, q, ue.fifos[set.direction][q].head, kNil});
+      ++flush_counter;
     }
   }
 }
@@ -59,18 +53,20 @@ void EnodeB::flush_ue(QueueSet& set, Imsi imsi,
 void EnodeB::remove_ue(Imsi imsi) {
   auto it = ues_.find(imsi);
   if (it == ues_.end()) return;
-  flush_ue(dl_, imsi, stats_.dl_flushed);
+  flush_ue(dl_, it->second, stats_.dl_flushed);
   std::uint64_t ul_flushed = 0;
-  flush_ue(ul_, imsi, ul_flushed);
+  flush_ue(ul_, it->second, ul_flushed);
   stats_.ul_queue_drops += ul_flushed;
   ues_.erase(it);
 }
 
 std::uint64_t EnodeB::dl_backlog(Imsi imsi) const {
+  auto it = ues_.find(imsi);
+  if (it == ues_.end()) return 0;
   std::uint64_t total = 0;
-  for (const auto& queue : dl_.queues) {
-    for (const QueuedPacket& entry : queue) {
-      if (entry.imsi == imsi) total += entry.packet.size_bytes;
+  for (const UeFifo& fifo : it->second.fifos[kDownlink]) {
+    for (std::uint32_t n = fifo.head; n != kNil; n = dl_.pool[n].next) {
+      total += dl_.pool[n].packet.size_bytes;
     }
   }
   return total;
@@ -190,14 +186,59 @@ bool EnodeB::consume_rate_tokens(UeCtx& ue, std::uint32_t size_bytes) {
   return true;
 }
 
-bool EnodeB::enqueue(QueueSet& set, std::size_t q, Imsi imsi,
+bool EnodeB::enqueue(QueueSet& set, std::size_t q, UeCtx& ue,
                      const sim::Packet& packet) {
   if (set.bytes[q] + packet.size_bytes > params_.queue_limit_bytes) {
     return false;
   }
-  set.queues[q].push_back(QueuedPacket{imsi, packet});
+  std::uint32_t node = set.free_head;
+  if (node != kNil) {
+    set.free_head = set.pool[node].next;
+  } else {
+    node = static_cast<std::uint32_t>(set.pool.size());
+    set.pool.emplace_back();
+  }
+  set.pool[node] = Node{packet, set.next_seq++, kNil};
+  UeFifo& fifo = ue.fifos[set.direction][q];
+  if (fifo.head == kNil) {
+    fifo.head = node;
+    fifo.active_slot = static_cast<std::uint32_t>(set.active[q].size());
+    set.active[q].push_back(&ue);
+  } else {
+    set.pool[fifo.tail].next = node;
+  }
+  fifo.tail = node;
   set.bytes[q] += packet.size_bytes;
   return true;
+}
+
+sim::Packet EnodeB::take(QueueSet& set, const Entry& entry) {
+  UeFifo& fifo = entry.ue->fifos[set.direction][entry.queue];
+  Node& node = set.pool[entry.node];
+  if (entry.prev == kNil) {
+    fifo.head = node.next;
+  } else {
+    set.pool[entry.prev].next = node.next;
+  }
+  if (fifo.tail == entry.node) fifo.tail = entry.prev;
+  node.next = set.free_head;
+  set.free_head = entry.node;
+  set.bytes[entry.queue] -= node.packet.size_bytes;
+
+  if (fifo.head == kNil) {
+    // Swap-remove the UE from the queue's backlogged list.
+    auto& active = set.active[entry.queue];
+    UeCtx* moved = active.back();
+    active[fifo.active_slot] = moved;
+    moved->fifos[set.direction][entry.queue].active_slot = fifo.active_slot;
+    active.pop_back();
+  }
+  return node.packet;
+}
+
+bool EnodeB::has_backlog(const QueueSet& set) {
+  return std::any_of(set.active.begin(), set.active.end(),
+                     [](const auto& ues) { return !ues.empty(); });
 }
 
 void EnodeB::downlink_submit(Imsi imsi, const sim::Packet& packet) {
@@ -206,7 +247,7 @@ void EnodeB::downlink_submit(Imsi imsi, const sim::Packet& packet) {
     return;  // no context (detached): dies here, uncharged downstream
   }
   const std::size_t q = queue_index(packet.qci);
-  if (!enqueue(dl_, q, imsi, packet)) {
+  if (!enqueue(dl_, q, it->second, packet)) {
     ++stats_.dl_queue_drops;
     return;
   }
@@ -218,29 +259,52 @@ void EnodeB::uplink_submit(Imsi imsi, const sim::Packet& packet) {
   if (it == ues_.end()) return;
   touch_rrc(imsi, it->second);
   const std::size_t q = queue_index(packet.qci);
-  if (!enqueue(ul_, q, imsi, packet)) {
+  if (!enqueue(ul_, q, it->second, packet)) {
     ++stats_.ul_queue_drops;
     return;
   }
   if (!ul_serving_) serve_ul();
 }
 
-bool EnodeB::pick(QueueSet& set, std::size_t& out_queue,
-                  std::size_t& out_pos) {
+std::optional<EnodeB::Entry> EnodeB::pick(QueueSet& set) {
+  // Each backlogged UE offers its oldest packet the token bucket admits
+  // (a throttled UE's smaller packet can pass its own too-large head);
+  // the lowest seq among in-coverage UEs is the packet a scan of the
+  // shared FIFO would reach first. connected(now) is asked once per UE:
+  // the radio's state at `now` does not depend on how often it is asked.
   const SimTime now = sim_.now();
   for (std::size_t q = 0; q < kQueues; ++q) {
-    const auto& queue = set.queues[q];
-    for (std::size_t pos = 0; pos < queue.size(); ++pos) {
-      auto it = ues_.find(queue[pos].imsi);
-      if (it != ues_.end() && it->second.radio->connected(now) &&
-          rate_tokens_available(it->second, queue[pos].packet.size_bytes)) {
-        out_queue = q;
-        out_pos = pos;
-        return true;
+    std::optional<Entry> best;
+    std::uint64_t best_seq = 0;
+    for (UeCtx* ue : set.active[q]) {
+      if (!ue->radio->connected(now)) continue;
+      std::uint32_t prev = kNil;
+      for (std::uint32_t n = ue->fifos[set.direction][q].head; n != kNil;
+           prev = n, n = set.pool[n].next) {
+        const Node& node = set.pool[n];
+        if (best && node.seq > best_seq) break;
+        if (rate_tokens_available(*ue, node.packet.size_bytes)) {
+          best = Entry{ue, q, n, prev};
+          best_seq = node.seq;
+          break;
+        }
       }
     }
+    if (best) return best;
   }
-  return false;
+  return std::nullopt;
+}
+
+std::optional<EnodeB::Entry> EnodeB::queue_head(QueueSet& set,
+                                               std::size_t q) {
+  std::optional<Entry> head;
+  for (UeCtx* ue : set.active[q]) {
+    const std::uint32_t n = ue->fifos[set.direction][q].head;
+    if (!head || set.pool[n].seq < set.pool[head->node].seq) {
+      head = Entry{ue, q, n, kNil};
+    }
+  }
+  return head;
 }
 
 void EnodeB::serve_dl() {
@@ -248,30 +312,24 @@ void EnodeB::serve_dl() {
   // (typically buffered through an outage) are dropped, not delivered.
   if (params_.pdb_discard_factor > 0.0) {
     for (std::size_t q = 0; q < kQueues; ++q) {
-      auto& queue = dl_.queues[q];
-      while (!queue.empty()) {
-        const sim::Packet& head = queue.front().packet;
+      while (const auto head = queue_head(dl_, q)) {
+        const sim::Packet& packet = dl_.pool[head->node].packet;
         const auto budget = static_cast<SimTime>(
             params_.pdb_discard_factor *
-            static_cast<double>(sim::qci_delay_budget(head.qci)));
-        if (sim_.now() - head.created_at <= budget) break;
-        dl_.bytes[q] -=
-            std::min<std::uint64_t>(dl_.bytes[q], head.size_bytes);
-        queue.pop_front();
+            static_cast<double>(sim::qci_delay_budget(packet.qci)));
+        if (sim_.now() - packet.created_at <= budget) break;
+        take(dl_, *head);
         ++stats_.dl_pdb_drops;
       }
     }
   }
 
-  std::size_t q = 0;
-  std::size_t pos = 0;
-  if (!pick(dl_, q, pos)) {
+  const auto picked = pick(dl_);
+  if (!picked) {
     dl_serving_ = false;
     // Traffic may be waiting for a UE out of coverage: poll again while
     // any DL queue is non-empty.
-    bool pending = false;
-    for (const auto& queue : dl_.queues) pending = pending || !queue.empty();
-    if (pending && !dl_retry_armed_) {
+    if (has_backlog(dl_) && !dl_retry_armed_) {
       dl_retry_armed_ = true;
       sim_.schedule_after(params_.blocked_retry, [this] {
         dl_retry_armed_ = false;
@@ -282,16 +340,14 @@ void EnodeB::serve_dl() {
   }
 
   dl_serving_ = true;
-  const QueuedPacket entry = dl_.queues[q][pos];
-  dl_.queues[q].erase(dl_.queues[q].begin() + static_cast<std::ptrdiff_t>(pos));
-  dl_.bytes[q] -= std::min<std::uint64_t>(dl_.bytes[q],
-                                          entry.packet.size_bytes);
-  consume_rate_tokens(ues_[entry.imsi], entry.packet.size_bytes);
+  const Imsi imsi = picked->ue->imsi;
+  const sim::Packet packet = take(dl_, *picked);
+  consume_rate_tokens(*picked->ue, packet.size_bytes);
 
-  const double tx_seconds = static_cast<double>(entry.packet.size_bytes) *
-                            8.0 / params_.dl_capacity_bps;
-  sim_.schedule_after(from_seconds(tx_seconds), [this, entry] {
-    auto it = ues_.find(entry.imsi);
+  const double tx_seconds =
+      static_cast<double>(packet.size_bytes) * 8.0 / params_.dl_capacity_bps;
+  sim_.schedule_after(from_seconds(tx_seconds), [this, imsi, packet] {
+    auto it = ues_.find(imsi);
     if (it != ues_.end()) {
       UeCtx& target = it->second;
       const double loss = target.radio->packet_loss_probability(sim_.now());
@@ -299,8 +355,8 @@ void EnodeB::serve_dl() {
         ++stats_.dl_air_drops;
       } else {
         ++stats_.dl_delivered;
-        touch_rrc(entry.imsi, target);
-        target.endpoint->modem_deliver(entry.packet);
+        touch_rrc(imsi, target);
+        target.endpoint->modem_deliver(packet);
       }
     }
     dl_serving_ = false;
@@ -309,13 +365,10 @@ void EnodeB::serve_dl() {
 }
 
 void EnodeB::serve_ul() {
-  std::size_t q = 0;
-  std::size_t pos = 0;
-  if (!pick(ul_, q, pos)) {
+  const auto picked = pick(ul_);
+  if (!picked) {
     ul_serving_ = false;
-    bool pending = false;
-    for (const auto& queue : ul_.queues) pending = pending || !queue.empty();
-    if (pending && !ul_retry_armed_) {
+    if (has_backlog(ul_) && !ul_retry_armed_) {
       ul_retry_armed_ = true;
       sim_.schedule_after(params_.blocked_retry, [this] {
         ul_retry_armed_ = false;
@@ -326,16 +379,14 @@ void EnodeB::serve_ul() {
   }
 
   ul_serving_ = true;
-  const QueuedPacket entry = ul_.queues[q][pos];
-  ul_.queues[q].erase(ul_.queues[q].begin() + static_cast<std::ptrdiff_t>(pos));
-  ul_.bytes[q] -= std::min<std::uint64_t>(ul_.bytes[q],
-                                          entry.packet.size_bytes);
-  consume_rate_tokens(ues_[entry.imsi], entry.packet.size_bytes);
+  const Imsi imsi = picked->ue->imsi;
+  const sim::Packet packet = take(ul_, *picked);
+  consume_rate_tokens(*picked->ue, packet.size_bytes);
 
-  const double tx_seconds = static_cast<double>(entry.packet.size_bytes) *
-                            8.0 / params_.ul_capacity_bps;
-  sim_.schedule_after(from_seconds(tx_seconds), [this, entry] {
-    auto it = ues_.find(entry.imsi);
+  const double tx_seconds =
+      static_cast<double>(packet.size_bytes) * 8.0 / params_.ul_capacity_bps;
+  sim_.schedule_after(from_seconds(tx_seconds), [this, imsi, packet] {
+    auto it = ues_.find(imsi);
     if (it != ues_.end()) {
       UeCtx& source = it->second;
       const double loss = source.radio->packet_loss_probability(sim_.now());
@@ -343,7 +394,7 @@ void EnodeB::serve_ul() {
         ++stats_.ul_air_drops;
       } else {
         ++stats_.ul_delivered;
-        if (uplink_sink_) uplink_sink_(entry.imsi, entry.packet);
+        if (uplink_sink_) uplink_sink_(imsi, packet);
       }
     }
     ul_serving_ = false;

@@ -3,9 +3,12 @@
 // Implements the pieces of the base station the charging gap depends on:
 //  * a strict-priority air scheduler over shared per-QCI drop-tail
 //    queues (QCI 3 > 7 > 9, per TS 23.203). Flows inside one QCI share
-//    a FIFO, so iperf background traffic on QCI 9 congests the cell and
-//    same-class app traffic loses proportionally — the Fig 3/13 effect —
-//    while QCI 7 gaming stays clean (Fig 12d);
+//    one FIFO *order* and one byte limit, so iperf background traffic
+//    on QCI 9 congests the cell and same-class app traffic loses
+//    proportionally — the Fig 3/13 effect — while QCI 7 gaming stays
+//    clean (Fig 12d). Storage is per UE: each UE holds its own FIFO per
+//    QCI queue, and an arrival sequence number shared by the queue set
+//    restores the shared order (lowest sequence number first);
 //  * per-packet air loss from the UE's radio channel (BLER from RSS,
 //    forced loss during outages). Downlink air loss happens *after* the
 //    SPGW charged the packet — the core over-charging mechanism;
@@ -22,9 +25,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "epc/ids.hpp"
 #include "epc/rrc.hpp"
@@ -99,6 +103,9 @@ class EnodeB {
   };
 
   EnodeB(sim::Simulator& sim, EnodebParams params, Rng rng);
+  // Scheduled actions capture `this` and the queues point into `ues_`.
+  EnodeB(const EnodeB&) = delete;
+  EnodeB& operator=(const EnodeB&) = delete;
 
   /// Registers a UE served by this cell.
   void add_ue(Imsi imsi, RrcEndpoint* endpoint, sim::RadioChannel* radio);
@@ -146,7 +153,23 @@ class EnodeB {
   static constexpr std::size_t kQueues = 3;
   [[nodiscard]] static std::size_t queue_index(sim::Qci qci);
 
+  /// Index into a QueueSet's node pool; kNil ends a list.
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+  // QueueSet::direction values, indexing UeCtx::fifos.
+  static constexpr std::size_t kDownlink = 0;
+  static constexpr std::size_t kUplink = 1;
+
+  /// One UE's packets in one QCI queue, oldest first: a singly linked
+  /// list through the QueueSet's node pool.
+  struct UeFifo {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    /// Position in QueueSet::active[q] while the list is non-empty.
+    std::uint32_t active_slot = 0;
+  };
+
   struct UeCtx {
+    Imsi imsi;
     RrcEndpoint* endpoint = nullptr;
     sim::RadioChannel* radio = nullptr;
     bool rrc_connected = false;
@@ -155,6 +178,8 @@ class EnodeB {
     double rate_limit_bps = 0.0;
     double tokens_bytes = 0.0;
     SimTime tokens_updated = 0;
+    /// Queued packets, [direction][queue].
+    std::array<std::array<UeFifo, kQueues>, 2> fifos{};
   };
 
   /// Token-bucket admission for a throttled UE; consumes on success.
@@ -162,13 +187,32 @@ class EnodeB {
   [[nodiscard]] bool rate_tokens_available(const UeCtx& ue,
                                            std::uint32_t size_bytes) const;
 
-  struct QueuedPacket {
-    Imsi imsi;
+  struct Node {
     sim::Packet packet;
+    /// Arrival order within the QueueSet: a QCI queue's shared FIFO
+    /// order is ascending `seq` across its UEs' lists.
+    std::uint64_t seq = 0;
+    std::uint32_t next = kNil;
   };
+  /// One direction's queues. Per QCI queue: the byte count the drop-tail
+  /// limit applies to, and the UEs whose FIFO in that queue is
+  /// non-empty (unordered), so service visits only backlogged UEs.
   struct QueueSet {
-    std::array<std::deque<QueuedPacket>, kQueues> queues;
+    explicit QueueSet(std::size_t dir) : direction(dir) {}
+    std::size_t direction;
+    std::vector<Node> pool;
+    std::uint32_t free_head = kNil;
+    std::uint64_t next_seq = 0;
+    std::array<std::vector<UeCtx*>, kQueues> active;
     std::array<std::uint64_t, kQueues> bytes{};
+  };
+  /// A queued packet: `node` in `ue`'s FIFO for queue `queue`, after
+  /// `prev` (kNil when it is the head).
+  struct Entry {
+    UeCtx* ue = nullptr;
+    std::size_t queue = 0;
+    std::uint32_t node = kNil;
+    std::uint32_t prev = kNil;
   };
 
   void touch_rrc(Imsi imsi, UeCtx& ue);
@@ -176,13 +220,19 @@ class EnodeB {
   void release_rrc(Imsi imsi, UeCtx& ue);
   void do_counter_check(Imsi imsi);
 
-  bool enqueue(QueueSet& set, std::size_t q, Imsi imsi,
+  bool enqueue(QueueSet& set, std::size_t q, UeCtx& ue,
                const sim::Packet& packet);
-  /// Finds the first servable packet by strict priority, skipping
-  /// entries whose UE is out of coverage (they stay queued). Returns
-  /// false when nothing can be served now.
-  bool pick(QueueSet& set, std::size_t& out_queue, std::size_t& out_pos);
-  void flush_ue(QueueSet& set, Imsi imsi, std::uint64_t& flush_counter);
+  /// Finds the first servable packet by strict priority: within a QCI
+  /// queue, the lowest-`seq` packet whose UE is in coverage and whose
+  /// token bucket admits it. Packets of UEs out of coverage stay
+  /// queued. Empty when nothing can be served now.
+  std::optional<Entry> pick(QueueSet& set);
+  /// Oldest packet of queue `q` across its UEs (the shared FIFO head).
+  std::optional<Entry> queue_head(QueueSet& set, std::size_t q);
+  /// Unlinks the packet at `entry`, frees its node and returns it.
+  sim::Packet take(QueueSet& set, const Entry& entry);
+  void flush_ue(QueueSet& set, UeCtx& ue, std::uint64_t& flush_counter);
+  [[nodiscard]] static bool has_backlog(const QueueSet& set);
 
   void serve_dl();
   void serve_ul();
@@ -191,8 +241,8 @@ class EnodeB {
   EnodebParams params_;
   Rng rng_;
   std::map<Imsi, UeCtx> ues_;
-  QueueSet dl_;
-  QueueSet ul_;
+  QueueSet dl_{kDownlink};
+  QueueSet ul_{kUplink};
   UplinkSinkFn uplink_sink_;
   CounterCheckFn counter_check_;
   Stats stats_;

@@ -173,6 +173,35 @@ TEST_F(EnodebFixture, DetachFlushesQueuedTraffic) {
   EXPECT_FALSE(enodeb.has_ue(kUe1));
 }
 
+TEST_F(EnodebFixture, DlBacklogAfterPartialDrainAndFlush) {
+  // At 1 byte/us: UE 1's first QCI 9 packet enters service at t=0, its
+  // two QCI 7 packets follow at 1.0 and 1.4 ms, and its second QCI 9
+  // packet enters service at 1.8 ms. UE 2's packets wait behind.
+  for (int i = 0; i < 5; ++i) {
+    enodeb.downlink_submit(kUe1, packet_of(1000, sim::Qci::kQci9));
+  }
+  enodeb.downlink_submit(kUe2, packet_of(1000, sim::Qci::kQci9));
+  enodeb.downlink_submit(kUe2, packet_of(1000, sim::Qci::kQci9));
+  enodeb.downlink_submit(kUe1, packet_of(400, sim::Qci::kQci7));
+  enodeb.downlink_submit(kUe1, packet_of(400, sim::Qci::kQci7));
+  EXPECT_EQ(enodeb.dl_backlog(kUe1), 4800u);
+  EXPECT_EQ(enodeb.dl_backlog(kUe2), 2000u);
+
+  sim.run_until(2 * kMillisecond);
+  EXPECT_EQ(enodeb.dl_backlog(kUe1), 3000u);
+  EXPECT_EQ(enodeb.dl_backlog(kUe2), 2000u);
+
+  // Detach flushes only UE 1's queued packets.
+  enodeb.remove_ue(kUe1);
+  EXPECT_EQ(enodeb.dl_backlog(kUe1), 0u);
+  EXPECT_EQ(enodeb.dl_backlog(kUe2), 2000u);
+  EXPECT_EQ(enodeb.stats().dl_flushed, 3u);
+
+  sim.run_until(kMinute);
+  EXPECT_EQ(enodeb.dl_backlog(kUe2), 0u);
+  EXPECT_EQ(ue2.delivered.size(), 2u);
+}
+
 TEST(EnodebOutageTest, BuffersAcrossShortOutage) {
   // UE disconnected from t=0: packets queue; they drain once the radio
   // returns — the Fig 4 buffering behaviour.

@@ -58,6 +58,44 @@ TEST(PdbDiscardTest, StalePacketsDroppedAfterOutage) {
             1200u);
 }
 
+TEST(PdbDiscardTest, DiscardsOnlyFromTheQueueHead) {
+  // Both UEs are throttled so that neither 1500-byte packet can ever be
+  // served. UE 1's packet is fresh and at the head of the QCI 9 queue;
+  // UE 2's packet behind it arrives already stale. Discard stops at the
+  // fresh head, so the stale packet stays queued until the head itself
+  // ages out.
+  sim::Simulator sim;
+  sim::RadioParams rp;
+  rp.mean_rss_dbm = -70.0;
+  sim::RadioChannel radio1(rp, Rng(47));
+  sim::RadioChannel radio2(rp, Rng(48));
+  CountingUe ue1;
+  CountingUe ue2;
+  EnodeB enodeb(sim, EnodebParams{}, Rng(49));
+  enodeb.add_ue(Imsi{1}, &ue1, &radio1);
+  enodeb.add_ue(Imsi{2}, &ue2, &radio2);
+  enodeb.set_rate_limit(Imsi{1}, 8000.0);  // bucket caps at 1000 bytes
+  enodeb.set_rate_limit(Imsi{2}, 8000.0);
+
+  sim.run_until(10 * kSecond);
+  enodeb.downlink_submit(Imsi{1}, qci9_packet(sim, 1500));
+  sim::Packet stale = qci9_packet(sim, 1500);
+  stale.created_at = 0;  // 10 s old: far past 5 x 300 ms
+  enodeb.downlink_submit(Imsi{2}, stale);
+
+  // Service polls every blocked_retry; the head is still fresh at +1 s.
+  sim.run_until(11 * kSecond);
+  EXPECT_EQ(enodeb.stats().dl_pdb_drops, 0u);
+  EXPECT_EQ(enodeb.dl_backlog(Imsi{2}), 1500u);
+
+  // Past the head's 1.5 s budget both are discarded, head first.
+  sim.run_until(12 * kSecond);
+  EXPECT_EQ(enodeb.stats().dl_pdb_drops, 2u);
+  EXPECT_EQ(enodeb.dl_backlog(Imsi{1}), 0u);
+  EXPECT_EQ(enodeb.dl_backlog(Imsi{2}), 0u);
+  EXPECT_EQ(enodeb.stats().dl_delivered, 0u);
+}
+
 TEST(PdbDiscardTest, FreshTrafficUnaffected) {
   sim::Simulator sim;
   sim::RadioParams rp;  // perfect coverage

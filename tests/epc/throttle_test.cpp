@@ -87,6 +87,25 @@ TEST_F(ThrottleFixture, ClearRestoresFullRate) {
   EXPECT_NEAR(static_cast<double>(ue.rx_), 1.25e6, 1e5);
 }
 
+TEST_F(ThrottleFixture, SmallerLaterPacketPassesTooLargeHead) {
+  // 8 kbps caps the bucket at 1000 bytes, so a 1500-byte head can never
+  // be admitted. The UE's later 500-byte packet is served past it, and
+  // the head stays queued.
+  enodeb.set_rate_limit(Imsi{1}, 8000.0);
+  sim::Packet big;
+  big.size_bytes = 1500;
+  big.qci = sim::Qci::kQci9;
+  sim::Packet small = big;
+  small.size_bytes = 500;
+  enodeb.downlink_submit(Imsi{1}, big);
+  enodeb.downlink_submit(Imsi{1}, small);
+  EXPECT_EQ(enodeb.dl_backlog(Imsi{1}), 2000u);
+  sim.run_until(2 * kSecond);
+  EXPECT_EQ(ue.rx_, 500u);
+  EXPECT_EQ(enodeb.stats().dl_delivered, 1u);
+  EXPECT_EQ(enodeb.dl_backlog(Imsi{1}), 1500u);
+}
+
 TEST_F(ThrottleFixture, OfcsQuotaDrivesThrottle) {
   // Wire the §2.1 loop: OFCS detects quota exceeded -> operator applies
   // the throttle at the scheduler.
