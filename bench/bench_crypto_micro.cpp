@@ -69,24 +69,59 @@ void BM_Sha256Batch(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha256Batch)->Arg(64)->Arg(1024);
 
-// The primitive under everything below: one CIOS Montgomery multiply
-// at the modulus width sign/verify use.
-void BM_MontgomeryMul1024(benchmark::State& state) {
+/// Two random residues in Montgomery form for modulus `n`, plus its
+/// context.
+struct MontgomeryOperands {
+  crypto::MontgomeryContext ctx;
+  crypto::MontgomeryContext::Rep a;
+  crypto::MontgomeryContext::Rep b;
+};
+
+MontgomeryOperands montgomery_operands(const crypto::BigUInt& n) {
   Rng rng(7);
-  const crypto::BigUInt n = op_kp().public_key.n;
-  const auto ctx = crypto::MontgomeryContext::create(n);
-  const crypto::MontgomeryContext::Rep a =
-      ctx->to_mont(crypto::BigUInt::random_below(n, rng));
-  const crypto::MontgomeryContext::Rep b =
-      ctx->to_mont(crypto::BigUInt::random_below(n, rng));
+  auto ctx = crypto::MontgomeryContext::create(n);
+  auto a = ctx->to_mont(crypto::BigUInt::random_below(n, rng));
+  auto b = ctx->to_mont(crypto::BigUInt::random_below(n, rng));
+  return {std::move(*ctx), std::move(a), std::move(b)};
+}
+
+// The primitive under everything below: one Montgomery multiply. At
+// 1024 bits it serves only verify (the public exponent 65537); signing
+// runs its CRT halves at 512 bits, below.
+void BM_MontgomeryMul1024(benchmark::State& state) {
+  const MontgomeryOperands ops = montgomery_operands(op_kp().public_key.n);
   crypto::MontgomeryContext::Rep out;
   crypto::MontgomeryContext::Rep scratch;
   for (auto _ : state) {
-    ctx->mul(a, b, out, scratch);
+    ops.ctx.mul(ops.a, ops.b, out, scratch);
     benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_MontgomeryMul1024);
+
+// The width that carries RSA-1024 signing: the modulus of one CRT half
+// (the 512-bit prime p), multiply and the dedicated square.
+void BM_MontgomeryMul512(benchmark::State& state) {
+  const MontgomeryOperands ops = montgomery_operands(op_kp().private_key.p);
+  crypto::MontgomeryContext::Rep out;
+  crypto::MontgomeryContext::Rep scratch;
+  for (auto _ : state) {
+    ops.ctx.mul(ops.a, ops.b, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_MontgomeryMul512);
+
+void BM_MontgomerySquare512(benchmark::State& state) {
+  const MontgomeryOperands ops = montgomery_operands(op_kp().private_key.p);
+  crypto::MontgomeryContext::Rep out;
+  crypto::MontgomeryContext::Rep scratch;
+  for (auto _ : state) {
+    ops.ctx.square(ops.a, out, scratch);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_MontgomerySquare512);
 
 void BM_RsaSign1024(benchmark::State& state) {
   const Bytes message = bytes_of("charging record");
@@ -95,6 +130,19 @@ void BM_RsaSign1024(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RsaSign1024);
+
+// RSA-512 keys (the hostile_lossy fleet's): CRT halves of 256 bits.
+void BM_RsaSign512(benchmark::State& state) {
+  static const crypto::RsaKeyPair kp = [] {
+    Rng rng(103);
+    return crypto::rsa_generate(512, rng);
+  }();
+  const Bytes message = bytes_of("charging record");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rsa_sign(kp.private_key, message));
+  }
+}
+BENCHMARK(BM_RsaSign512);
 
 void BM_RsaVerify1024(benchmark::State& state) {
   const Bytes message = bytes_of("charging record");

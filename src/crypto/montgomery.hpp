@@ -6,8 +6,11 @@
 // Internally the context packs BigUInt's base-2^32 limbs into base-2^64
 // words so every CIOS step is one 64x64->128 hardware multiply; with
 // those, Montgomery multiplication replaces every multiply-then-divide
-// of the schoolbook path with one fused interleaved pass, and modular
-// exponentiation becomes:
+// of the schoolbook path with one fused interleaved pass. The limb
+// counts RSA uses (4, 8 and 16: the RSA-512 and RSA-1024 CRT halves and
+// the RSA-1024 modulus) run fixed-width kernels chosen once at `create`,
+// with a dedicated squaring from 8 limbs up; every other width runs
+// one width-generic loop. Modular exponentiation becomes:
 //
 //   * `mod_exp`        — fixed-window (w up to 5) for dense private
 //                        exponents (CRT halves d_p / d_q, Miller-Rabin
@@ -51,9 +54,12 @@ class MontgomeryContext {
   /// a * R^-1 mod n (leaves Montgomery form).
   [[nodiscard]] BigUInt from_mont(const Rep& a) const;
 
-  /// out = a * b * R^-1 mod n (CIOS). `scratch` must outlive the call
-  /// and is resized as needed; passing the same vector to consecutive
-  /// calls amortizes its allocation. `out` may alias `a` or `b`.
+  /// out = a * b * R^-1 mod n (CIOS), for a, b < n; the result is the
+  /// canonical residue in [0, n) whichever kernel computes it.
+  /// `scratch` must outlive the call and is resized as needed (only the
+  /// width-generic kernel uses it); passing the same vector to
+  /// consecutive calls amortizes its allocation. `out` may alias `a`
+  /// or `b`.
   void mul(const Rep& a, const Rep& b, Rep& out, Rep& scratch) const;
   /// out = a^2 * R^-1 mod n. Same contract as `mul`.
   void square(const Rep& a, Rep& out, Rep& scratch) const;
@@ -78,11 +84,22 @@ class MontgomeryContext {
   /// Packs a value known to be < n into `limb_count()` base-2^64 limbs.
   [[nodiscard]] Rep pack(const BigUInt& x) const;
 
+  /// Fixed-width kernels over raw limbs (montgomery.cpp), chosen once
+  /// from the limb count in `create`.
+  using MulKernel = void (*)(const std::uint64_t* a, const std::uint64_t* b,
+                             const std::uint64_t* n, std::uint64_t n_prime,
+                             std::uint64_t* out);
+  using SquareKernel = void (*)(const std::uint64_t* a,
+                                const std::uint64_t* n,
+                                std::uint64_t n_prime, std::uint64_t* out);
+
   BigUInt modulus_;
   std::vector<std::uint64_t> n_;  // modulus limbs (base 2^64), length k
   std::uint64_t n_prime_ = 0;     // -n^{-1} mod 2^64
   Rep r_mod_n_;                   // R mod n (Montgomery form of 1)
   Rep r2_mod_n_;                  // R^2 mod n (to_mont multiplier)
+  MulKernel mul_kernel_ = nullptr;        // null: width-generic loop
+  SquareKernel square_kernel_ = nullptr;  // null: square via mul
 };
 
 }  // namespace tlc::crypto

@@ -37,7 +37,9 @@ std::size_t build_tail(const std::uint8_t* data, std::size_t len,
                        std::uint8_t tail[128]) {
   const std::size_t rem = len % 64;
   std::memset(tail, 0, 128);
-  std::memcpy(tail, data + (len - rem), rem);
+  // An empty message may arrive as a null pointer, which memcpy must
+  // not be given even for zero bytes.
+  if (rem != 0) std::memcpy(tail, data + (len - rem), rem);
   tail[rem] = 0x80;
   const std::size_t blocks = rem < 56 ? 1 : 2;
   const std::uint64_t bits = static_cast<std::uint64_t>(len) * 8;

@@ -177,5 +177,25 @@ TEST(Sha256BatchKatTest, EmptyBatchIsANoOp) {
   sha256_batch(nullptr, nullptr, 0, nullptr);  // must not crash
 }
 
+// A zero-length message may be passed as a null pointer. Nine of them
+// fill one wide group plus a straggler, so every kernel builds the
+// empty tail without reading through the pointer.
+TEST(Sha256BatchKatTest, NullPointerEmptyMessagesEveryKernel) {
+  const std::string empty_digest =
+      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
+  for_each_kernel([&](Sha256Kernel kernel) {
+    SCOPED_TRACE(sha256_kernel_name(kernel));
+    const std::vector<const std::uint8_t*> ptrs(9, nullptr);
+    const std::vector<std::size_t> lens(9, 0);
+    std::vector<std::uint8_t> out(9 * 32);
+    sha256_batch(ptrs.data(), lens.data(), ptrs.size(), out.data());
+    for (std::size_t i = 0; i < ptrs.size(); ++i) {
+      const Bytes got(out.begin() + static_cast<std::ptrdiff_t>(32 * i),
+                      out.begin() + static_cast<std::ptrdiff_t>(32 * (i + 1)));
+      EXPECT_EQ(to_hex(got), empty_digest) << "message " << i;
+    }
+  });
+}
+
 }  // namespace
 }  // namespace tlc::crypto
