@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
       for (int t = 0; t < trials; ++t) {
         auto edge = make_strategy(edge_kind, rng);
         auto op = make_strategy(op_kind, rng);
-        const auto result = negotiate(*edge, view, *op, view, {0.5, 32, 0});
+        const auto result = negotiate(*edge, view, *op, view, {0.5, 32});
         rounds.add(result.rounds);
         if (!result.completed) continue;
         ++completed;

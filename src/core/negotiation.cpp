@@ -1,7 +1,5 @@
 #include "core/negotiation.hpp"
 
-#include <algorithm>
-
 namespace tlc::core {
 
 NegotiationResult negotiate(Strategy& edge_strategy,
@@ -10,15 +8,13 @@ NegotiationResult negotiate(Strategy& edge_strategy,
                             const UsageView& operator_view,
                             const NegotiationConfig& config) {
   NegotiationResult result;
-
-  std::uint64_t lower = 0;          // xL
-  std::uint64_t upper = kUnbounded; // xU
+  ClaimWindow window;
 
   for (int round = 0; round < config.max_rounds; ++round) {
-    RoundContext edge_ctx{PartyRole::EdgeVendor, edge_view, lower, upper,
-                          round, config.c};
-    RoundContext op_ctx{PartyRole::Operator, operator_view, lower, upper,
-                        round, config.c};
+    const RoundContext edge_ctx =
+        window.context(PartyRole::EdgeVendor, edge_view, round, config.c);
+    const RoundContext op_ctx =
+        window.context(PartyRole::Operator, operator_view, round, config.c);
 
     // Line 4: exchange claims (order does not matter).
     const std::uint64_t edge_claim = edge_strategy.claim(edge_ctx);
@@ -27,8 +23,8 @@ NegotiationResult negotiate(Strategy& edge_strategy,
 
     // Line-12 constraint check: the previous round's bounds are public,
     // so either party detects an out-of-window claim and rejects it.
-    const bool edge_violates = edge_claim < lower || edge_claim > upper;
-    const bool op_violates = op_claim < lower || op_claim > upper;
+    const bool edge_violates = !window.admits(edge_claim);
+    const bool op_violates = !window.admits(op_claim);
     if (edge_violates) ++result.bound_violations;
     if (op_violates) ++result.bound_violations;
 
@@ -52,25 +48,18 @@ NegotiationResult negotiate(Strategy& edge_strategy,
       return result;
     }
 
-    // Line 12: contract the bounds — but only from claims that honored
-    // the constraint, so a violator cannot widen the window.
-    const std::uint64_t lo_claim =
-        std::min(edge_violates ? op_claim : edge_claim,
-                 op_violates ? edge_claim : op_claim);
-    const std::uint64_t hi_claim =
-        std::max(edge_violates ? op_claim : edge_claim,
-                 op_violates ? edge_claim : op_claim);
-    lower = std::max(lower, lo_claim);
-    upper = std::min(upper, hi_claim);
+    // Line 12: contract the window — but only from claims that honored
+    // the constraint, so a violator cannot widen it.
+    window.contract(edge_violates ? op_claim : edge_claim,
+                    op_violates ? edge_claim : op_claim);
 
-    // A fully pinned window means claims can no longer move; settle —
+    // A pinned window means claims can no longer move: settle there —
     // but never on the strength of a round with a constraint violation
     // (the violator must not be able to force convergence).
-    if (!edge_violates && !op_violates &&
-        upper - lower <= config.convergence_epsilon) {
-      // Claims can no longer move: settle at the pinned window.
+    if (!edge_violates && !op_violates && window.pinned()) {
       result.completed = true;
-      result.charged = charging::charged_volume(lower, upper, config.c);
+      result.charged =
+          charging::charged_volume(window.lower(), window.upper(), config.c);
       ++result.rounds;
       return result;
     }

@@ -1,13 +1,32 @@
 // Algorithm 1: loss-selfishness cancellation.
 //
-// This is the abstract negotiation engine — the pure game of §5.1,
-// independent of message signing and transport (protocol.hpp layers
-// those on top, and the public verifier replays this logic). Both
-// parties exchange claims, decide accept/reject, and on mutual accept
-// the charge is x = charged_volume(xe, xo, c) (line 8). On reject, the
-// bounds contract to [min, max] of the round's claims (line 12).
+// Both parties exchange claims, decide accept/reject, and on mutual
+// accept the charge is x = charged_volume(xe, xo, c) (line 8). On
+// reject, the claim window (xL, xU) contracts to [min, max] of the
+// round's claims (line 12), and a claim outside the window is a
+// detectable violation.
+//
+// ClaimWindow is the one copy of that window: the Line-12 constraint,
+// the contraction and the RoundContext a strategy sees. Two callers run
+// rounds over it, and their round shapes differ on purpose:
+//
+//  * negotiate() below is the abstract game of §5.1 (it drives the
+//    fleet's TLC-optimal and TLC-random gap CDFs). Both claims arrive
+//    at once and share one window. It contracts from compliant claims
+//    only, so a violator cannot move the window, and it settles as soon
+//    as a violation-free round pins the window (xL == xU), counting
+//    that settle as one more round.
+//  * ProtocolEndpoint (protocol.hpp) is the Fig 7 message realisation:
+//    signed CDR/CDA/PoC over a link. Each party keeps its own window
+//    and contracts it from the claim pairs it has seen; a peer's
+//    violating claim leaves that window unchanged. It settles only
+//    through a CDA, never on a pinned window.
+//
+// Merging the two shapes would change negotiate()'s RandomSelfish
+// outcomes, which feed the fleet's gap-CDF digest.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +35,41 @@
 #include "core/types.hpp"
 
 namespace tlc::core {
+
+/// Algorithm 1's claim window [xL, xU], open at [0, ∞) (line 1).
+class ClaimWindow {
+ public:
+  [[nodiscard]] std::uint64_t lower() const { return lower_; }
+  [[nodiscard]] std::uint64_t upper() const { return upper_; }
+
+  /// The Line-12 constraint: false for a claim outside the window.
+  [[nodiscard]] bool admits(std::uint64_t claim) const {
+    return claim >= lower_ && claim <= upper_;
+  }
+
+  /// The Line-12 update from a rejected round's claim pair. It only
+  /// ever narrows the window.
+  void contract(std::uint64_t a, std::uint64_t b) {
+    lower_ = std::max(lower_, std::min(a, b));
+    upper_ = std::min(upper_, std::max(a, b));
+  }
+
+  /// True once no compliant claim can move any more.
+  [[nodiscard]] bool pinned() const { return lower_ == upper_; }
+
+  /// The inputs a strategy sees this round; `c` is the plan's loss
+  /// weight, passed through untouched.
+  [[nodiscard]] RoundContext context(
+      PartyRole role, const UsageView& view, int round,
+      // tlclint: allow(float-money) the plan's ratio c, passed through
+      double c) const {
+    return RoundContext{role, view, lower_, upper_, round, c};
+  }
+
+ private:
+  std::uint64_t lower_ = 0;           // xL
+  std::uint64_t upper_ = kUnbounded;  // xU
+};
 
 struct RoundRecord {
   std::uint64_t edge_claim = 0;
@@ -41,9 +95,6 @@ struct NegotiationResult {
 struct NegotiationConfig {
   double c = 0.5;
   int max_rounds = 64;
-  /// When the bounds collapse below this many bytes apart, the engine
-  /// settles at the midpoint charge — claims can no longer move.
-  std::uint64_t convergence_epsilon = 0;
 };
 
 /// Runs Algorithm 1 between the edge vendor and the operator.

@@ -1,5 +1,7 @@
 #include "core/poc_store.hpp"
 
+#include <algorithm>
+
 #include "crypto/hmac.hpp"
 #include "recovery/crc32c.hpp"
 #include "util/fileio.hpp"
@@ -16,6 +18,10 @@ constexpr std::uint32_t kStoreMagic = 0x544c4350;  // "TLCP"
 // streaming-ingest batch PoCs (DESIGN.md §16) next to cycle receipts.
 constexpr std::uint32_t kStoreVersion = 3;
 constexpr std::size_t kTagBytes = 32;
+/// Encoded size of the smallest archive entry: CRC, body length, then a
+/// body of kind, t_start, t_end, c and an empty PoC's length. Caps the
+/// reserve a claimed entry count can ask for.
+constexpr std::size_t kMinEncodedEntrySize = 4 + 4 + 1 + 8 + 8 + 8 + 4;
 
 Bytes integrity_key() { return bytes_of("tlc-poc-store-integrity-v1"); }
 
@@ -131,7 +137,8 @@ Expected<PocStore> PocStore::deserialize(const Bytes& data) {
   auto count = r.u32();
   if (!count) return Err("poc store: " + count.error());
   PocStore store;
-  store.entries_.reserve(*count);
+  store.entries_.reserve(
+      std::min<std::size_t>(*count, r.remaining() / kMinEncodedEntrySize));
   for (std::uint32_t i = 0; i < *count; ++i) {
     auto crc = r.u32();
     if (!crc) return Err("poc store: " + crc.error());

@@ -4,6 +4,7 @@
 
 #include "charging/plan.hpp"
 #include "util/logging.hpp"
+#include "util/walltime.hpp"
 
 // Sequence-number convention: seq carries the Algorithm-1 round number.
 // A CDR claiming in round k has seq = k; the CDA that accepts a round-k
@@ -11,6 +12,34 @@
 // flow); the PoC finalizing round k has seq = k + 1.
 
 namespace tlc::core {
+namespace {
+
+/// Per-message codec and the tag its rejection reasons start with.
+template <typename Signed>
+struct Codec;
+
+template <>
+struct Codec<SignedCdr> {
+  static constexpr const char* kTag = "cdr";
+  static constexpr auto decode = &decode_signed_cdr;
+  static constexpr auto encode_body = &encode_cdr_body;
+};
+
+template <>
+struct Codec<SignedCda> {
+  static constexpr const char* kTag = "cda";
+  static constexpr auto decode = &decode_signed_cda;
+  static constexpr auto encode_body = &encode_cda_body;
+};
+
+template <>
+struct Codec<SignedPoc> {
+  static constexpr const char* kTag = "poc";
+  static constexpr auto decode = &decode_signed_poc;
+  static constexpr auto encode_body = &encode_poc_body;
+};
+
+}  // namespace
 
 const char* endpoint_state_name(EndpointState state) {
   switch (state) {
@@ -31,7 +60,6 @@ const char* endpoint_state_name(EndpointState state) {
 ProtocolEndpoint::ProtocolEndpoint(EndpointConfig config, Strategy& strategy,
                                    Rng rng)
     : config_(std::move(config)), strategy_(strategy), rng_(rng) {
-  if (!config_.crypto_clock) config_.crypto_clock = util::monotonic_nanos;
   // Endpoints sign/verify on every round: warm the keys' Montgomery
   // contexts up front (no-op when the keys came from rsa_generate or
   // deserialize, which already carry them).
@@ -41,22 +69,22 @@ ProtocolEndpoint::ProtocolEndpoint(EndpointConfig config, Strategy& strategy,
 }
 
 RoundContext ProtocolEndpoint::make_context() const {
-  return RoundContext{config_.role, config_.view, lower_,
-                      upper_,       claims_made_, config_.plan.c};
+  return window_.context(config_.role, config_.view, claims_made_,
+                         config_.plan.c);
 }
 
 Bytes ProtocolEndpoint::timed_sign(const Bytes& message) {
-  const std::uint64_t start = config_.crypto_clock();
+  const std::uint64_t start = util::monotonic_nanos();
   Bytes signature = crypto::rsa_sign(config_.own_private, message);
-  record_crypto_nanos(config_.crypto_clock() - start);
+  record_crypto_nanos(util::monotonic_nanos() - start);
   return signature;
 }
 
 Status ProtocolEndpoint::timed_verify(const Bytes& message,
                                       const Bytes& signature) {
-  const std::uint64_t start = config_.crypto_clock();
+  const std::uint64_t start = util::monotonic_nanos();
   Status status = crypto::rsa_verify(config_.peer_public, message, signature);
-  record_crypto_nanos(config_.crypto_clock() - start);
+  record_crypto_nanos(util::monotonic_nanos() - start);
   return status;
 }
 
@@ -78,7 +106,7 @@ void ProtocolEndpoint::fail(const std::string& reason) {
                         << " negotiation failed: " << reason;
 }
 
-Status ProtocolEndpoint::reject_tamper(const std::string& reason) {
+Error ProtocolEndpoint::reject_tamper(const std::string& reason) {
   ++tamper_suspected_;
   if (!config_.tolerate_faults) fail(reason);
   return Err(reason);
@@ -99,37 +127,60 @@ void ProtocolEndpoint::mark_processed(const Bytes& wire) {
   processed_wires_.push_back(wire);
 }
 
-void ProtocolEndpoint::update_bounds(std::uint64_t a, std::uint64_t b) {
-  lower_ = std::max(lower_, std::min(a, b));
-  upper_ = std::min(upper_, std::max(a, b));
-}
-
-void ProtocolEndpoint::send_cdr() {
-  if (current_round_ >= config_.max_rounds) {
-    fail("round cap reached");
-    return;
-  }
-  own_claim_ = strategy_.claim(make_context());
+void ProtocolEndpoint::emit_cdr(std::uint64_t claim) {
+  own_claim_ = claim;
   ++claims_made_;
   own_nonce_ = rng_.next_u64();
 
-  CdrMessage body;
-  body.plan = config_.plan;
-  body.sender = config_.role;
-  body.seq = static_cast<std::uint64_t>(current_round_);
-  body.nonce = own_nonce_;
-  body.volume = own_claim_;
-
-  SignedCdr cdr{body, timed_sign(encode_cdr_body(body))};
+  SignedCdr cdr;
+  cdr.body.plan = config_.plan;
+  cdr.body.sender = config_.role;
+  cdr.body.seq = static_cast<std::uint64_t>(current_round_);
+  cdr.body.nonce = own_nonce_;
+  cdr.body.volume = own_claim_;
+  cdr.signature = timed_sign(encode_cdr_body(cdr.body));
   last_sent_cdr_wire_ = encode_signed_cdr(cdr);
-  last_cdr_size_ = last_sent_cdr_wire_.size();
   state_ = EndpointState::SentCdr;
   send_wire(last_sent_cdr_wire_);
 }
 
+void ProtocolEndpoint::emit_cda(const Bytes& peer_cdr_wire) {
+  own_nonce_ = rng_.next_u64();
+
+  SignedCda cda;
+  cda.body.plan = config_.plan;
+  cda.body.sender = config_.role;
+  cda.body.seq = static_cast<std::uint64_t>(current_round_);
+  cda.body.nonce = own_nonce_;
+  cda.body.volume = own_claim_;
+  cda.body.peer_cdr_wire = peer_cdr_wire;
+  cda.signature = timed_sign(encode_cda_body(cda.body));
+  last_sent_cda_wire_ = encode_signed_cda(cda);
+  state_ = EndpointState::SentCda;
+  send_wire(last_sent_cda_wire_);
+}
+
+void ProtocolEndpoint::claim_round() {
+  if (current_round_ >= config_.max_rounds) {
+    fail("round cap reached");
+    return;
+  }
+  emit_cdr(strategy_.claim(make_context()));
+}
+
+void ProtocolEndpoint::reclaim(std::uint64_t peer_claim) {
+  if (window_.admits(peer_claim)) {
+    window_.contract(own_claim_, peer_claim);
+  } else {
+    ++bound_violations_;
+  }
+  ++current_round_;
+  claim_round();
+}
+
 void ProtocolEndpoint::start() {
   current_round_ = 0;
-  send_cdr();
+  claim_round();
 }
 
 Status ProtocolEndpoint::receive(const Bytes& wire) {
@@ -162,28 +213,31 @@ Status ProtocolEndpoint::receive(const Bytes& wire) {
   return status;
 }
 
-Status ProtocolEndpoint::handle_cdr(const Bytes& wire) {
-  auto decoded = decode_signed_cdr(wire);
-  if (!decoded) {
-    return reject_tamper(decoded.error());
+template <typename Signed>
+Expected<Signed> ProtocolEndpoint::open(const Bytes& wire) {
+  auto message = Codec<Signed>::decode(wire);
+  if (!message) return reject_tamper(message.error());
+  if (message->body.sender != other_party(config_.role)) {
+    return reject_tamper(std::string(Codec<Signed>::kTag) +
+                         ": sender role mismatch");
   }
-  const SignedCdr& cdr = *decoded;
-  if (cdr.body.sender != other_party(config_.role)) {
-    return reject_tamper("cdr: sender role mismatch");
-  }
-  if (auto s = timed_verify(encode_cdr_body(cdr.body), cdr.signature); !s) {
+  if (auto s = timed_verify(Codec<Signed>::encode_body(message->body),
+                            message->signature);
+      !s) {
     return reject_tamper(s.error());
   }
-  if (cdr.body.plan != config_.plan) {
-    return reject_tamper("cdr: data plan mismatch");
+  if (message->body.plan != config_.plan) {
+    return reject_tamper(std::string(Codec<Signed>::kTag) +
+                         ": data plan mismatch");
   }
+  return message;
+}
 
-  const auto round = static_cast<int>(cdr.body.seq);
-  const std::uint64_t peer_claim = cdr.body.volume;
-
-  // Line-12 constraint: an out-of-window claim is a detectable
-  // violation; reject it without letting it move the bounds.
-  const bool violates = peer_claim < lower_ || peer_claim > upper_;
+Status ProtocolEndpoint::handle_cdr(const Bytes& wire) {
+  auto cdr = open<SignedCdr>(wire);
+  if (!cdr) return Err(cdr.error());
+  const auto round = static_cast<int>(cdr->body.seq);
+  const std::uint64_t peer_claim = cdr->body.volume;
 
   if (state_ == EndpointState::SentCdr && round == current_round_) {
     // I already claimed this round and now hold the peer's same-round
@@ -194,33 +248,13 @@ Status ProtocolEndpoint::handle_cdr(const Bytes& wire) {
     // state machine has the "recv CDR, send CDA" edge from the CDR
     // state) may answer with a CDA when it accepts; the operator always
     // treats the counter-CDR as a rejection and re-claims.
-    peer_nonce_ = cdr.body.nonce;
-    if (violates) {
-      ++bound_violations_;
-      ++current_round_;
-      send_cdr();
-      return Status::Ok();
-    }
-    if (config_.role == PartyRole::EdgeVendor &&
+    if (window_.admits(peer_claim) &&
+        config_.role == PartyRole::EdgeVendor &&
         strategy_.accept(make_context(), own_claim_, peer_claim)) {
-      own_nonce_ = rng_.next_u64();
-      CdaMessage body;
-      body.plan = config_.plan;
-      body.sender = config_.role;
-      body.seq = static_cast<std::uint64_t>(current_round_);
-      body.nonce = own_nonce_;
-      body.volume = own_claim_;
-      body.peer_cdr_wire = wire;
-      SignedCda cda{body, timed_sign(encode_cda_body(body))};
-      last_sent_cda_wire_ = encode_signed_cda(cda);
-      last_cda_size_ = last_sent_cda_wire_.size();
-      state_ = EndpointState::SentCda;
-      send_wire(last_sent_cda_wire_);
-      return Status::Ok();
+      emit_cda(wire);
+    } else {
+      reclaim(peer_claim);
     }
-    update_bounds(own_claim_, peer_claim);
-    ++current_round_;
-    send_cdr();
     return Status::Ok();
   }
 
@@ -234,56 +268,23 @@ Status ProtocolEndpoint::handle_cdr(const Bytes& wire) {
     fail("round cap reached");
     return Err("round cap reached");
   }
-  if (violates) {
-    ++bound_violations_;
-    ++current_round_;
-    send_cdr();  // implicit reject; do not honor the violating claim
+  if (!window_.admits(peer_claim)) {
+    reclaim(peer_claim);  // implicit reject; do not honor the violating claim
     return Status::Ok();
   }
 
   const RoundContext ctx = make_context();
   const std::uint64_t my_claim = strategy_.claim(ctx);
-  const bool accept = strategy_.accept(ctx, my_claim, peer_claim);
-  peer_nonce_ = cdr.body.nonce;
-
-  if (!accept) {
-    own_claim_ = my_claim;
-    ++claims_made_;
-    update_bounds(my_claim, peer_claim);
+  if (!strategy_.accept(ctx, my_claim, peer_claim)) {
     // Publish my same-round claim as the implicit rejection.
-    own_nonce_ = rng_.next_u64();
-    CdrMessage body;
-    body.plan = config_.plan;
-    body.sender = config_.role;
-    body.seq = static_cast<std::uint64_t>(current_round_);
-    body.nonce = own_nonce_;
-    body.volume = own_claim_;
-    SignedCdr reject{body, timed_sign(encode_cdr_body(body))};
-    last_sent_cdr_wire_ = encode_signed_cdr(reject);
-    last_cdr_size_ = last_sent_cdr_wire_.size();
-    state_ = EndpointState::SentCdr;
-    send_wire(last_sent_cdr_wire_);
+    window_.contract(my_claim, peer_claim);
+    emit_cdr(my_claim);
     return Status::Ok();
   }
-
   // Accept: answer with a CDA echoing the peer's signed CDR.
   own_claim_ = my_claim;
   ++claims_made_;
-  own_nonce_ = rng_.next_u64();
-
-  CdaMessage body;
-  body.plan = config_.plan;
-  body.sender = config_.role;
-  body.seq = static_cast<std::uint64_t>(current_round_);
-  body.nonce = own_nonce_;
-  body.volume = own_claim_;
-  body.peer_cdr_wire = wire;
-
-  SignedCda cda{body, timed_sign(encode_cda_body(body))};
-  last_sent_cda_wire_ = encode_signed_cda(cda);
-  last_cda_size_ = last_sent_cda_wire_.size();
-  state_ = EndpointState::SentCda;
-  send_wire(last_sent_cda_wire_);
+  emit_cda(wire);
   return Status::Ok();
 }
 
@@ -292,73 +293,40 @@ Status ProtocolEndpoint::handle_cda(const Bytes& wire) {
     return Err("cda: unexpected in state " +
                std::string(endpoint_state_name(state_)));
   }
-  auto decoded = decode_signed_cda(wire);
-  if (!decoded) {
-    return reject_tamper(decoded.error());
-  }
-  const SignedCda& cda = *decoded;
-  if (cda.body.sender != other_party(config_.role)) {
-    return reject_tamper("cda: sender role mismatch");
-  }
-  if (auto s = timed_verify(encode_cda_body(cda.body), cda.signature); !s) {
-    return reject_tamper(s.error());
-  }
-  if (cda.body.plan != config_.plan) {
-    return reject_tamper("cda: data plan mismatch");
-  }
-  if (static_cast<int>(cda.body.seq) != current_round_) {
+  auto cda = open<SignedCda>(wire);
+  if (!cda) return Err(cda.error());
+  if (static_cast<int>(cda->body.seq) != current_round_) {
     // Stale acceptance of an earlier round's CDR — happens legitimately
     // when both parties initiated and messages crossed; drop it.
     return Err("cda: round mismatch (stale or replay)");
   }
-  if (cda.body.peer_cdr_wire != last_sent_cdr_wire_) {
+  if (cda->body.peer_cdr_wire != last_sent_cdr_wire_) {
     return reject_tamper("cda: echoed CDR does not match what we sent");
   }
 
-  const std::uint64_t peer_claim = cda.body.volume;
-  const bool violates = peer_claim < lower_ || peer_claim > upper_;
-  if (violates) {
-    ++bound_violations_;
-    ++current_round_;
-    send_cdr();
-    return Status::Ok();
-  }
-
-  const RoundContext ctx = make_context();
-  const bool accept = strategy_.accept(ctx, own_claim_, peer_claim);
-  peer_nonce_ = cda.body.nonce;
-  if (!accept) {
-    update_bounds(own_claim_, peer_claim);
-    ++current_round_;
-    send_cdr();
+  const std::uint64_t peer_claim = cda->body.volume;
+  if (!window_.admits(peer_claim) ||
+      !strategy_.accept(make_context(), own_claim_, peer_claim)) {
+    reclaim(peer_claim);
     return Status::Ok();
   }
 
   // Both sides accepted the round: construct the PoC (lines 7-9).
   negotiated_ =
       charging::charged_volume(own_claim_, peer_claim, config_.plan.c);
-
-  PocMessage body;
-  body.plan = config_.plan;
-  body.sender = config_.role;
-  body.seq = static_cast<std::uint64_t>(current_round_) + 1;
-  body.charged = negotiated_;
-  body.cda_wire = wire;
-
-  const std::uint64_t nonce_edge = config_.role == PartyRole::EdgeVendor
-                                       ? own_nonce_
-                                       : cda.body.nonce;
-  const std::uint64_t nonce_operator = config_.role == PartyRole::Operator
-                                           ? own_nonce_
-                                           : cda.body.nonce;
+  const bool edge = config_.role == PartyRole::EdgeVendor;
   SignedPoc poc;
-  poc.body = body;
-  poc.signature = timed_sign(encode_poc_body(body));
-  poc.nonce_edge = nonce_edge;
-  poc.nonce_operator = nonce_operator;
-  poc_ = poc;
+  poc.body.plan = config_.plan;
+  poc.body.sender = config_.role;
+  poc.body.seq = static_cast<std::uint64_t>(current_round_) + 1;
+  poc.body.charged = negotiated_;
+  poc.body.cda_wire = wire;
+  poc.signature = timed_sign(encode_poc_body(poc.body));
+  poc.nonce_edge = edge ? own_nonce_ : cda->body.nonce;
+  poc.nonce_operator = edge ? cda->body.nonce : own_nonce_;
 
   const Bytes poc_wire = encode_signed_poc(poc);
+  poc_ = std::move(poc);
   last_poc_size_ = poc_wire.size();
   state_ = EndpointState::Done;
   send_wire(poc_wire);
@@ -370,27 +338,15 @@ Status ProtocolEndpoint::handle_poc(const Bytes& wire) {
     return Err("poc: unexpected in state " +
                std::string(endpoint_state_name(state_)));
   }
-  auto decoded = decode_signed_poc(wire);
-  if (!decoded) {
-    return reject_tamper(decoded.error());
-  }
-  const SignedPoc& poc = *decoded;
-  if (poc.body.sender != other_party(config_.role)) {
-    return reject_tamper("poc: sender role mismatch");
-  }
-  if (auto s = timed_verify(encode_poc_body(poc.body), poc.signature); !s) {
-    return reject_tamper(s.error());
-  }
-  if (poc.body.plan != config_.plan) {
-    return reject_tamper("poc: data plan mismatch");
-  }
-  if (poc.body.cda_wire != last_sent_cda_wire_) {
+  auto poc = open<SignedPoc>(wire);
+  if (!poc) return Err(poc.error());
+  if (poc->body.cda_wire != last_sent_cda_wire_) {
     return reject_tamper("poc: embedded CDA does not match what we sent");
   }
 
   // Recompute x from the claims inside the nested messages and check
   // the constructor did not misreport it.
-  auto inner_cda = decode_signed_cda(poc.body.cda_wire);
+  auto inner_cda = decode_signed_cda(poc->body.cda_wire);
   if (!inner_cda) {
     return reject_tamper(inner_cda.error());
   }
@@ -400,12 +356,12 @@ Status ProtocolEndpoint::handle_poc(const Bytes& wire) {
   }
   const std::uint64_t expected = charging::charged_volume(
       inner_cda->body.volume, inner_cdr->body.volume, config_.plan.c);
-  if (expected != poc.body.charged) {
+  if (expected != poc->body.charged) {
     return reject_tamper("poc: charged volume inconsistent with claims");
   }
 
-  negotiated_ = poc.body.charged;
-  poc_ = poc;
+  negotiated_ = poc->body.charged;
+  poc_ = std::move(*poc);
   last_poc_size_ = wire.size();
   state_ = EndpointState::Done;
   return Status::Ok();

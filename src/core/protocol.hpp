@@ -4,8 +4,9 @@
 // Either party may initiate. A party that accepts the peer's CDR
 // answers with a CDA (echoing the signed CDR it accepts); the peer
 // accepting the CDA constructs and returns the PoC. Any rejection is
-// expressed implicitly by sending a fresh CDR, shrinking the claim
-// window exactly as Algorithm 1 line 12 prescribes.
+// expressed implicitly by sending a fresh CDR, shrinking the party's
+// ClaimWindow exactly as Algorithm 1 line 12 prescribes (negotiation.hpp
+// sets out how this round shape differs from core::negotiate's).
 //
 // The endpoint also keeps the accounting the evaluation needs: rounds
 // (Fig 16b), bytes and message counts (Fig 17 table), and wall-clock
@@ -18,11 +19,11 @@
 #include <string>
 
 #include "core/messages.hpp"
+#include "core/negotiation.hpp"
 #include "core/strategy.hpp"
 #include "core/types.hpp"
 #include "crypto/rsa.hpp"
 #include "util/rng.hpp"
-#include "util/walltime.hpp"
 
 namespace tlc::core {
 
@@ -45,14 +46,9 @@ struct EndpointConfig {
   UsageView view;
   int max_rounds = 64;
   /// Multiplier applied to measured crypto time (device profiles,
-  /// Fig 17: Pixel 2 XL is ~4.8x the Z840).
+  /// Fig 17: Pixel 2 XL is ~4.8x the Z840). The time itself comes from
+  /// util::monotonic_nanos and never feeds settlement bytes.
   double crypto_time_scale = 1.0;
-  /// Clock backing the crypto-latency telemetry (crypto_seconds()).
-  /// Telemetry only — it never feeds settlement bytes, nonces or RNG
-  /// state, so replay stays bit-identical whatever it returns. Defaults
-  /// to the sanctioned monotonic wall clock; tests may inject a
-  /// deterministic counter.
-  util::WallClock crypto_clock;
   /// Transport-hardened mode (§8): messages that fail decode, signature
   /// verification or cross-layer consistency are *dropped* (counted in
   /// tamper_suspected()) instead of aborting the negotiation — over a
@@ -109,27 +105,45 @@ class ProtocolEndpoint {
   [[nodiscard]] double crypto_seconds() const { return crypto_seconds_; }
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
   [[nodiscard]] int messages_sent() const { return messages_sent_; }
-  [[nodiscard]] std::size_t last_cdr_size() const { return last_cdr_size_; }
-  [[nodiscard]] std::size_t last_cda_size() const { return last_cda_size_; }
+  [[nodiscard]] std::size_t last_cdr_size() const {
+    return last_sent_cdr_wire_.size();
+  }
+  [[nodiscard]] std::size_t last_cda_size() const {
+    return last_sent_cda_wire_.size();
+  }
   [[nodiscard]] std::size_t last_poc_size() const { return last_poc_size_; }
 
  private:
   [[nodiscard]] RoundContext make_context() const;
   void send_wire(const Bytes& wire);
-  void send_cdr();
+  /// Claims for the current round and sends the CDR, or fails the
+  /// negotiation at the round cap.
+  void claim_round();
+  /// Implicit rejection of the peer's claim (Fig 7): a claim outside the
+  /// window is counted as a violation and leaves the window as it is,
+  /// a compliant one contracts it with my own claim (line 12). Either
+  /// way the next round opens with a fresh claim.
+  void reclaim(std::uint64_t peer_claim);
+  /// Signs and sends a CDR claiming `claim` in the current round.
+  void emit_cdr(std::uint64_t claim);
+  /// Signs and sends a CDA accepting the peer CDR `peer_cdr_wire` with
+  /// my standing claim.
+  void emit_cda(const Bytes& peer_cdr_wire);
+  /// Decodes a peer message and checks its sender role, signature and
+  /// data plan; a message that fails is rejected as tampered.
+  template <typename Signed>
+  [[nodiscard]] Expected<Signed> open(const Bytes& wire);
   [[nodiscard]] Status handle_cdr(const Bytes& wire);
   [[nodiscard]] Status handle_cda(const Bytes& wire);
   [[nodiscard]] Status handle_poc(const Bytes& wire);
   void fail(const std::string& reason);
   /// Rejects a tampered/corrupt message: counts it, aborts in strict
   /// mode, merely drops it in tolerate_faults mode.
-  [[nodiscard]] Status reject_tamper(const std::string& reason);
+  [[nodiscard]] Error reject_tamper(const std::string& reason);
   [[nodiscard]] bool is_duplicate(const Bytes& wire) const;
   void mark_processed(const Bytes& wire);
-  /// Contracts [lower_, upper_] from a claim pair (line 12).
-  void update_bounds(std::uint64_t a, std::uint64_t b);
 
-  // Timed crypto wrappers (telemetry clock; see EndpointConfig).
+  // Timed crypto wrappers (telemetry only; see crypto_time_scale).
   [[nodiscard]] Bytes timed_sign(const Bytes& message);
   [[nodiscard]] Status timed_verify(const Bytes& message,
                                     const Bytes& signature);
@@ -141,12 +155,10 @@ class ProtocolEndpoint {
   SendFn send_;
 
   EndpointState state_ = EndpointState::Null;
-  std::uint64_t lower_ = 0;
-  std::uint64_t upper_ = kUnbounded;
+  ClaimWindow window_;
   int current_round_ = 0;  // seq carries the round number on the wire
   std::uint64_t own_claim_ = 0;
   std::uint64_t own_nonce_ = 0;
-  std::uint64_t peer_nonce_ = 0;
   Bytes last_sent_cdr_wire_;
   Bytes last_sent_cda_wire_;
   std::uint64_t negotiated_ = 0;
@@ -163,8 +175,6 @@ class ProtocolEndpoint {
   double crypto_seconds_ = 0.0;
   std::uint64_t bytes_sent_ = 0;
   int messages_sent_ = 0;
-  std::size_t last_cdr_size_ = 0;
-  std::size_t last_cda_size_ = 0;
   std::size_t last_poc_size_ = 0;
 };
 

@@ -32,8 +32,6 @@ Status TlcSession::begin_cycle(const UsageView& measured) {
   endpoint_config.plan = current_plan();
   endpoint_config.view = measured;
   endpoint_config.max_rounds = config_.max_rounds;
-  endpoint_config.crypto_time_scale = config_.crypto_time_scale;
-  endpoint_config.crypto_clock = config_.crypto_clock;
   endpoint_config.tolerate_faults = config_.tolerate_faults;
   endpoint_ = std::make_unique<ProtocolEndpoint>(endpoint_config, *strategy_,
                                                  rng_.fork());

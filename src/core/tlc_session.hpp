@@ -32,9 +32,6 @@ struct SessionConfig {
   SimTime cycle_length = kHour;
   SimTime first_cycle_start = 0;
   int max_rounds = 64;
-  double crypto_time_scale = 1.0;
-  /// Telemetry clock for crypto_seconds(); see EndpointConfig.
-  util::WallClock crypto_clock;
   /// Passed through to EndpointConfig::tolerate_faults — required when
   /// the session runs over a lossy transport (§8).
   bool tolerate_faults = false;

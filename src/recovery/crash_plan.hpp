@@ -14,9 +14,9 @@
 // run and at every thread count (scopes partition concurrent callers:
 // shard index for shard-side points, UE id for settlement points).
 //
-// The handler is injectable in the spirit of util::WallClock — tests
-// keep the default throwing handler, while a standalone harness could
-// install one that calls abort() to exercise real process death.
+// The handler is injectable — tests keep the default throwing handler,
+// while a standalone harness could install one that calls abort() to
+// exercise real process death.
 #pragma once
 
 #include <cstdint>

@@ -35,7 +35,7 @@ CycleOutcome evaluate_scheme(const CycleMeasurements& cycle, Scheme scheme,
       const core::UsageView edge_view{cycle.edge_sent, cycle.edge_received};
       const core::UsageView op_view{cycle.op_sent, cycle.op_received};
       const auto result = core::negotiate(edge, edge_view, op, op_view,
-                                          core::NegotiationConfig{c, 64, 0});
+                                          core::NegotiationConfig{c, 64});
       outcome.charged = result.charged;
       outcome.rounds = result.rounds;
       outcome.completed = result.completed;
@@ -47,7 +47,7 @@ CycleOutcome evaluate_scheme(const CycleMeasurements& cycle, Scheme scheme,
       const core::UsageView edge_view{cycle.edge_sent, cycle.edge_received};
       const core::UsageView op_view{cycle.op_sent, cycle.op_received};
       const auto result = core::negotiate(edge, edge_view, op, op_view,
-                                          core::NegotiationConfig{c, 64, 0});
+                                          core::NegotiationConfig{c, 64});
       outcome.charged = result.charged;
       outcome.rounds = result.rounds;
       outcome.completed = result.completed;

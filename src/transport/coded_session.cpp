@@ -432,7 +432,8 @@ Expected<std::vector<core::SettlementReceipt>> unseal_receipts(
   auto count = r.u32();
   if (!count) return Err("sealed batch: truncated count");
   std::vector<core::SettlementReceipt> receipts;
-  receipts.reserve(*count);
+  receipts.reserve(
+      std::min<std::size_t>(*count, r.remaining() / kMinEncodedReceiptSize));
   for (std::uint32_t i = 0; i < *count; ++i) {
     auto receipt = read_receipt(r);
     if (!receipt) return Err(receipt.error());
@@ -537,7 +538,6 @@ LossyBatchReport CodedSettler::settle(
   for (const CodedCounters& group_counters : counters) {
     report.coded += group_counters;
   }
-  detail::fill_census(report);
   return report;
 }
 

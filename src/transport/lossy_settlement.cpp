@@ -81,31 +81,7 @@ LossyBatchReport LossySettler::settle(
       receipt.failure_reason = std::move(result.failure_reason);
     }
   });
-  detail::fill_census(report);
   return report;
 }
-
-namespace detail {
-
-void fill_census(LossyBatchReport& report) {
-  for (const core::SettlementReceipt& receipt : report.receipts) {
-    switch (receipt.outcome) {
-      case core::SettleOutcome::Converged:
-        ++report.converged;
-        break;
-      case core::SettleOutcome::Retried:
-        ++report.retried;
-        break;
-      case core::SettleOutcome::Degraded:
-        ++report.degraded;
-        break;
-      case core::SettleOutcome::RejectedTamper:
-        ++report.rejected_tamper;
-        break;
-    }
-  }
-}
-
-}  // namespace detail
 
 }  // namespace tlc::transport

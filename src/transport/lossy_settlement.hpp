@@ -16,7 +16,6 @@
 // lossless BatchSettler's exactly.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "core/batch_settlement.hpp"
@@ -27,15 +26,12 @@
 
 namespace tlc::transport {
 
-/// Receipts plus the per-outcome census (§8 settlement counters) and
-/// the coded-path census (§17; all-zero from LossySettler itself and
-/// whenever TransportConfig::coding is off).
+/// Receipts plus the coded-path census (§17; all-zero from
+/// LossySettler itself and whenever TransportConfig::coding is off).
+/// The per-outcome census (§8) is the OFCS's SettlementCounters, which
+/// counts each receipt's outcome as it is billed.
 struct LossyBatchReport {
   std::vector<core::SettlementReceipt> receipts;
-  std::size_t converged = 0;
-  std::size_t retried = 0;
-  std::size_t degraded = 0;
-  std::size_t rejected_tamper = 0;
   CodedCounters coded;
 };
 
@@ -65,11 +61,4 @@ class LossySettler {
   recovery::CrashPlan* plan_ = nullptr;
 };
 
-namespace detail {
-
-/// Fills the per-outcome census from the receipts, in input order — a
-/// pure function of the receipts.
-void fill_census(LossyBatchReport& report);
-
-}  // namespace detail
 }  // namespace tlc::transport

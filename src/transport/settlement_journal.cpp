@@ -1,5 +1,7 @@
 #include "transport/settlement_journal.hpp"
 
+#include <algorithm>
+
 #include "util/serde.hpp"
 
 namespace tlc::transport {
@@ -77,7 +79,8 @@ Expected<SettlementJournal> SettlementJournal::open(const std::string& path,
       return;
     }
     RecoveredChunk chunk;
-    chunk.receipts.reserve(*count);
+    chunk.receipts.reserve(
+        std::min<std::size_t>(*count, r.remaining() / kMinEncodedReceiptSize));
     for (std::uint32_t i = 0; i < *count; ++i) {
       auto receipt = read_receipt(r);
       if (!receipt) {

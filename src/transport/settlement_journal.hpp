@@ -13,6 +13,7 @@
 // pass — including every PoC byte.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -31,6 +32,13 @@ namespace tlc::transport {
 /// poc_wire included) — shared by the chunk records here and by tests.
 void write_receipt(ByteWriter& w, const core::SettlementReceipt& receipt);
 [[nodiscard]] Expected<core::SettlementReceipt> read_receipt(ByteReader& r);
+
+/// Encoded size of the smallest receipt (empty PoC and failure reason):
+/// ue_id, cycle, completed, charged, rounds, PoC length, outcome,
+/// retransmits, reason length. Decoders reserve at most the bytes left
+/// divided by this, whatever count the input claims.
+inline constexpr std::size_t kMinEncodedReceiptSize =
+    8 + 4 + 1 + 8 + 8 + 4 + 1 + 8 + 4;
 
 /// One journaled settlement chunk: the receipts plus the coded-path
 /// census the chunk's transfers accumulated (all-zero when the chunk

@@ -5,22 +5,17 @@
 // clocks, time(), rand() etc. anywhere else in src/. The one legitimate
 // consumer of real time is *telemetry* — measuring how long real crypto
 // operations take (ProtocolEndpoint::crypto_seconds(), Fig 16/17) —
-// and that read is funneled through here so it stays auditable and
-// mockable: callers take a `WallClock` function and tests inject a
-// deterministic one.
+// and that read is funneled through here so it stays auditable.
 #pragma once
 
 #include <chrono>  // tlclint: allow(wallclock) sole sanctioned wall-clock site
 #include <cstdint>
-#include <functional>
 
 namespace tlc::util {
 
 /// Monotonic nanosecond counter for latency telemetry. Never use this
 /// for anything that feeds settlement bytes, RNG seeding or message
 /// contents — those must come from SimTime / seed streams.
-using WallClock = std::function<std::uint64_t()>;
-
 [[nodiscard]] inline std::uint64_t monotonic_nanos() {
   // tlclint: allow(wallclock) telemetry-only monotonic read
   const auto now = std::chrono::steady_clock::now().time_since_epoch();

@@ -41,7 +41,7 @@ TEST_P(ErrorSweepTest, OptimalGapBoundedByMeasurementError) {
     OptimalStrategy edge;
     OptimalStrategy op;
     const auto result =
-        negotiate(edge, edge_view, op, op_view, {0.5, 64, 0});
+        negotiate(edge, edge_view, op, op_view, {0.5, 64});
     if (!result.completed) continue;
     ++completed;
     const std::uint64_t expected =
@@ -74,7 +74,7 @@ TEST_P(ErrorSweepTest, RandomSelfishRemainsWithinUnionWindow) {
     RandomSelfishStrategy edge(rng.fork());
     RandomSelfishStrategy op(rng.fork());
     const auto result =
-        negotiate(edge, edge_view, op, op_view, {0.5, 64, 0});
+        negotiate(edge, edge_view, op, op_view, {0.5, 64});
     if (!result.completed) continue;
     const std::uint64_t lo = std::min(edge_view.received_estimate,
                                       op_view.received_estimate);

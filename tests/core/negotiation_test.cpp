@@ -38,7 +38,7 @@ TEST_P(NegotiationPropertyTest, Theorem3OptimalConvergesToExpected) {
     OptimalStrategy edge;
     OptimalStrategy op;
     const auto result = negotiate(edge, exact_view(truth), op,
-                                  exact_view(truth), {c, 64, 0});
+                                  exact_view(truth), {c, 64});
     ASSERT_TRUE(result.completed);
     // x = x̂ = x̂o + c (x̂e − x̂o) exactly (both parties measured exactly).
     EXPECT_EQ(result.charged,
@@ -54,7 +54,7 @@ TEST_P(NegotiationPropertyTest, Theorem4OptimalStopsInOneRound) {
     OptimalStrategy edge;
     OptimalStrategy op;
     const auto result = negotiate(edge, exact_view(truth), op,
-                                  exact_view(truth), {c, 64, 0});
+                                  exact_view(truth), {c, 64});
     EXPECT_EQ(result.rounds, 1);
   }
 }
@@ -67,7 +67,7 @@ TEST_P(NegotiationPropertyTest, Theorem4HonestStopsInOneRound) {
     HonestStrategy edge;
     HonestStrategy op;
     const auto result = negotiate(edge, exact_view(truth), op,
-                                  exact_view(truth), {c, 64, 0});
+                                  exact_view(truth), {c, 64});
     ASSERT_TRUE(result.completed);
     EXPECT_EQ(result.rounds, 1);
     // Honest claims are (x̂e, x̂o), so the settled charge is x̂ too.
@@ -96,7 +96,7 @@ TEST_P(NegotiationPropertyTest, Theorem2BoundsHoldForAllStrategyMixes) {
       auto edge = make(mix % 3);
       auto op = make(mix / 3);
       const auto result = negotiate(*edge, exact_view(truth), *op,
-                                    exact_view(truth), {c, 64, 0});
+                                    exact_view(truth), {c, 64});
       ASSERT_TRUE(result.completed)
           << "mix=" << mix << " edge=" << edge->name()
           << " op=" << op->name();
@@ -120,7 +120,7 @@ TEST(NegotiationTest, RandomSelfishCompressesGap) {
   RandomSelfishStrategy op(rng.fork());
   const GroundTruth truth{100000, 80000};
   const auto result =
-      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 64, 0});
+      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 64});
   ASSERT_TRUE(result.completed);
   EXPECT_LE(result.final_edge_claim > result.final_operator_claim
                 ? result.final_edge_claim - result.final_operator_claim
@@ -133,7 +133,7 @@ TEST(NegotiationTest, RejectAllFailsAtRoundCap) {
   OptimalStrategy op;
   const GroundTruth truth{100000, 80000};
   const auto result =
-      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 16, 0});
+      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 16});
   EXPECT_FALSE(result.completed);
   EXPECT_EQ(result.rounds, 16);
   EXPECT_EQ(result.charged, 0u);
@@ -147,7 +147,7 @@ TEST(NegotiationTest, GreedyOverclaimDetectedAndRejected) {
   GreedyOverclaimStrategy op(1.5);
   const GroundTruth truth{100000, 80000};
   const auto result =
-      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 16, 0});
+      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 16});
   if (result.completed) {
     // If it settled at all, the bound still holds (Theorem 2).
     EXPECT_LE(result.charged, truth.sent);
@@ -181,7 +181,7 @@ TEST(NegotiationTest, WindowViolationIsFlagged) {
   RejectAllStrategy edge;  // forces multiple rounds
   const GroundTruth truth{100000, 80000};
   const auto result =
-      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 8, 0});
+      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 8});
   EXPECT_FALSE(result.completed);
   EXPECT_GT(result.bound_violations, 0);
 }
@@ -194,7 +194,7 @@ TEST(NegotiationTest, BoundViolationCannotWidenWindow) {
   GreedyOverclaimStrategy op(3.0);
   const GroundTruth truth{100000, 80000};
   const auto result =
-      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 8, 0});
+      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 8});
   for (const RoundRecord& round : result.history) {
     // The edge's compliant claims never exceed its sent volume.
     EXPECT_LE(round.edge_claim, truth.sent);
@@ -206,7 +206,7 @@ TEST(NegotiationTest, HistoryRecordsEveryRound) {
   RejectAllStrategy op;
   const GroundTruth truth{1000, 900};
   const auto result =
-      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 5, 0});
+      negotiate(edge, exact_view(truth), op, exact_view(truth), {0.5, 5});
   EXPECT_EQ(result.history.size(), 5u);
   for (const RoundRecord& round : result.history) {
     EXPECT_FALSE(round.edge_accepted);
@@ -218,7 +218,7 @@ TEST(NegotiationTest, ZeroTrafficCycleSettlesAtZero) {
   OptimalStrategy edge;
   OptimalStrategy op;
   const auto result =
-      negotiate(edge, UsageView{0, 0}, op, UsageView{0, 0}, {0.5, 64, 0});
+      negotiate(edge, UsageView{0, 0}, op, UsageView{0, 0}, {0.5, 64});
   ASSERT_TRUE(result.completed);
   EXPECT_EQ(result.charged, 0u);
 }
@@ -231,7 +231,7 @@ TEST(NegotiationTest, MeasurementDisagreementStillBounded) {
   OptimalStrategy op;
   const UsageView edge_view{100000, 80000};
   const UsageView op_view{103000, 82000};
-  const auto result = negotiate(edge, edge_view, op, op_view, {0.5, 64, 0});
+  const auto result = negotiate(edge, edge_view, op, op_view, {0.5, 64});
   ASSERT_TRUE(result.completed);
   EXPECT_GE(result.charged, 80000u);
   EXPECT_LE(result.charged, 103000u);

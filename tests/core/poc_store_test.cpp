@@ -7,6 +7,9 @@
 #include <fstream>
 #include <string>
 
+#include "crypto/hmac.hpp"
+#include "util/serde.hpp"
+
 namespace tlc::core {
 namespace {
 
@@ -156,6 +159,21 @@ TEST(PocStoreTest, SalvageRejectsDamagedHeader) {
   EXPECT_FALSE(PocStore::load_salvage(path));
   EXPECT_FALSE(PocStore::load_salvage("/nonexistent/poc.bin"));
   std::remove(path.c_str());
+}
+
+TEST(PocStoreTest, EntryCountBeyondArchiveIsATypedError) {
+  // A well-tagged archive header claiming 4G entries with none behind
+  // it: the HMAC key is public, so the tag proves nothing about sizes.
+  ByteWriter w;
+  w.u32(0x544c4350);  // "TLCP"
+  w.u32(3);           // archive version
+  w.u32(0xffffffff);  // entry count
+  Bytes data = w.take();
+  append(data, crypto::hmac_sha256(bytes_of("tlc-poc-store-integrity-v1"),
+                                   data));
+  auto store = PocStore::deserialize(data);
+  ASSERT_FALSE(store.has_value());
+  EXPECT_EQ(store.error().rfind("poc store: ", 0), 0u) << store.error();
 }
 
 }  // namespace
