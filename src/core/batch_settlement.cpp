@@ -73,8 +73,11 @@ std::unique_ptr<TlcSession> make_batch_session(const BatchConfig& config,
       sim::stream_rng(config.rng_salt, stream));
 }
 
-std::vector<UeGroup> group_by_ue(const std::vector<SettlementItem>& items,
-                                 std::vector<SettlementReceipt>& receipts) {
+namespace {
+
+/// Groups items by UE in first-appearance order: the n-th item of a UE
+/// is its cycle n.
+std::vector<UeGroup> group_by_ue(const std::vector<SettlementItem>& items) {
   // The side index makes grouping O(n); vector order alone fixes the
   // output, so the unordered lookup cannot leak into results.
   std::vector<UeGroup> groups;
@@ -87,20 +90,18 @@ std::vector<UeGroup> group_by_ue(const std::vector<SettlementItem>& items,
       groups.emplace_back();
       groups.back().ue_id = items[i].ue_id;
     }
-    UeGroup& group = groups[it->second];
-    group.item_indices.push_back(i);
-    receipts[i].ue_id = items[i].ue_id;
-    receipts[i].cycle =
-        static_cast<std::uint32_t>(group.item_indices.size() - 1);
+    groups[it->second].item_indices.push_back(i);
   }
   return groups;
 }
 
-namespace {
-
-/// One UE's reused session pair and its in-flight wire messages.
+/// One UE's reused session pair and its in-flight wire messages. The
+/// sessions' send closures hold its address, so it never moves.
 struct Group {
-  const UeGroup* ue = nullptr;
+  Group() = default;
+  Group(const Group&) = delete;
+  Group& operator=(const Group&) = delete;
+
   std::unique_ptr<TlcSession> edge;
   std::unique_ptr<TlcSession> op;
   // Pending wire messages: (to_edge, bytes), FIFO per group.
@@ -109,11 +110,9 @@ struct Group {
   std::string poison_reason;
 };
 
-/// Builds the group's session pair; the send closures point back at
-/// the group, so it must not move while the sessions live.
+/// Builds the group's session pair.
 void open_sessions(Group& group, const BatchConfig& config,
-                   const RsaKeyCache& keys) {
-  const std::uint64_t ue = group.ue->ue_id;
+                   const RsaKeyCache& keys, std::uint64_t ue) {
   group.edge = make_batch_session(config, keys, ue, PartyRole::EdgeVendor);
   group.op = make_batch_session(config, keys, ue, PartyRole::Operator);
   Group* raw = &group;
@@ -146,8 +145,7 @@ bool begin_group_cycle(Group& group, const SettlementItem& item) {
 }
 
 /// Finishes the in-flight cycle and fills the receipt; a failed
-/// negotiation poisons the group (its remaining receipts stay
-/// incomplete — §5.1: retry policy belongs to the caller).
+/// negotiation poisons the group.
 void finish_group_cycle(Group& group, SettlementReceipt& receipt) {
   if (group.poisoned || !group.op->cycle_complete() ||
       !group.edge->cycle_complete()) {
@@ -171,52 +169,59 @@ void finish_group_cycle(Group& group, SettlementReceipt& receipt) {
   receipt.outcome = SettleOutcome::Converged;
 }
 
-/// All cycles of one group through a local FIFO pump. Sessions live
-/// only while the group runs, so a batch holds one pair per worker
-/// rather than one per UE.
-void run_group(Group& group, const BatchConfig& config,
-               const RsaKeyCache& keys, recovery::CrashPlan* plan,
-               const std::vector<SettlementItem>& items,
-               std::vector<SettlementReceipt>& receipts) {
-  open_sessions(group, config, keys);
-  for (std::size_t item_index : group.ue->item_indices) {
-    if (plan != nullptr) {
-      plan->fire(recovery::kCrashSettleCycle, group.ue->ue_id);
+}  // namespace
+
+std::vector<SettlementReceipt> settle_by_ue(
+    const std::vector<SettlementItem>& items, unsigned threads,
+    recovery::CrashPlan* plan, const SettleGroup& settle_group) {
+  std::vector<SettlementReceipt> receipts(items.size());
+  const std::vector<UeGroup> groups = group_by_ue(items);
+  util::parallel_for(groups.size(), threads, [&](std::size_t g) {
+    const UeGroup& group = groups[g];
+    std::vector<SettlementReceipt> slots(group.item_indices.size());
+    for (std::size_t cycle = 0; cycle < slots.size(); ++cycle) {
+      if (plan != nullptr) {
+        plan->fire(recovery::kCrashSettleCycle, group.ue_id);
+      }
+      slots[cycle].ue_id = group.ue_id;
+      slots[cycle].cycle = static_cast<std::uint32_t>(cycle);
     }
-    if (!begin_group_cycle(group, items[item_index])) {
-      poison(group, "cycle could not start");
-      receipts[item_index].failure_reason = group.poison_reason;
-      continue;
+    settle_group(g, group, slots);
+    for (std::size_t cycle = 0; cycle < slots.size(); ++cycle) {
+      receipts[group.item_indices[cycle]] = std::move(slots[cycle]);
     }
-    while (!group.wire.empty() && !group.poisoned) deliver_one(group);
-    finish_group_cycle(group, receipts[item_index]);
-  }
-  group.edge.reset();
-  group.op.reset();
+  });
+  return receipts;
 }
 
-}  // namespace
+void settle_in_process(const BatchConfig& config, const RsaKeyCache& keys,
+                       const std::vector<SettlementItem>& items,
+                       const UeGroup& group,
+                       std::vector<SettlementReceipt>& receipts) {
+  Group pair;
+  open_sessions(pair, config, keys, group.ue_id);
+  for (std::size_t cycle = 0; cycle < receipts.size(); ++cycle) {
+    if (!begin_group_cycle(pair, items[group.item_indices[cycle]])) {
+      poison(pair, "cycle could not start");
+      receipts[cycle].failure_reason = pair.poison_reason;
+      continue;
+    }
+    while (!pair.wire.empty() && !pair.poisoned) deliver_one(pair);
+    finish_group_cycle(pair, receipts[cycle]);
+  }
+}
 
 BatchSettler::BatchSettler(BatchConfig config, const RsaKeyCache& keys)
     : config_(config), keys_(keys) {}
 
 std::vector<SettlementReceipt> BatchSettler::settle(
     const std::vector<SettlementItem>& items, unsigned threads) const {
-  std::vector<SettlementReceipt> receipts(items.size());
-  const std::vector<UeGroup> ue_groups = group_by_ue(items, receipts);
-  // Sized once and never resized: the send closures hold Group
-  // addresses.
-  std::vector<Group> groups(ue_groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    groups[g].ue = &ue_groups[g];
-  }
-
-  // Each group is fully local to one worker and writes only its own
-  // receipt slots, so results never depend on the worker count.
-  util::parallel_for(groups.size(), threads, [&](std::size_t g) {
-    run_group(groups[g], config_, keys_, plan_, items, receipts);
-  });
-  return receipts;
+  return settle_by_ue(
+      items, threads, plan_,
+      [&](std::size_t, const UeGroup& group,
+          std::vector<SettlementReceipt>& receipts) {
+        settle_in_process(config_, keys_, items, group, receipts);
+      });
 }
 
 }  // namespace tlc::core

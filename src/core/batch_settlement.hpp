@@ -12,14 +12,14 @@
 //  * one reusable `TlcSession` pair per UE settles that UE's cycles in
 //    sequence, exactly as the single-UE API would.
 //
-// Distinct UEs share no mutable state, so `settle()` can fan UE groups
-// out over util::parallel_for — receipts are bit-identical for every
-// thread count, and (single-threaded) the cross-session message pump can
-// be reordered arbitrarily between sessions without changing any
-// receipt.
+// Distinct UEs share no mutable state, so `settle_by_ue` fans UE
+// groups out over util::parallel_for. Every rung — in-process here,
+// stop-and-wait and coded in transport::LossySettler — is a per-group
+// function on that one fan-out.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/tlc_session.hpp"
@@ -99,46 +99,56 @@ struct BatchConfig {
 };
 
 /// One UE's share of a batch: indices of its items, in input order.
+/// Item n of a UE is its cycle n.
 struct UeGroup {
   std::uint64_t ue_id = 0;
   std::vector<std::size_t> item_indices;
 };
 
-/// Groups items by UE in first-appearance order and pre-fills each
-/// receipt slot's (ue_id, cycle): the n-th item of a UE is its cycle n.
-/// Every settler groups through here, so all of them agree on which
-/// receipt slot holds which (UE, cycle). `receipts` must already be
-/// sized to `items`.
-[[nodiscard]] std::vector<UeGroup> group_by_ue(
-    const std::vector<SettlementItem>& items,
-    std::vector<SettlementReceipt>& receipts);
+/// One rung settling one UE group: fills `receipts`, the group's
+/// receipts in cycle order, pre-stamped with (ue_id, cycle).
+/// `group_index` is the group's first-appearance rank.
+using SettleGroup =
+    std::function<void(std::size_t group_index, const UeGroup& group,
+                       std::vector<SettlementReceipt>& receipts)>;
+
+/// The one UE-group fan-out every settlement rung runs on: groups
+/// items by UE in first-appearance order, fires the settle-cycle crash
+/// point once per (UE, cycle) scoped by UE id, settles each group on
+/// one of `threads` workers and returns the receipts in input order,
+/// identical for every thread count. A CrashException raised on a
+/// worker is rethrown here once every worker has stopped.
+[[nodiscard]] std::vector<SettlementReceipt> settle_by_ue(
+    const std::vector<SettlementItem>& items, unsigned threads,
+    recovery::CrashPlan* plan, const SettleGroup& settle_group);
 
 /// Builds the reusable per-UE session one side of a batch settlement
 /// runs. Key slots and the session RNG stream (salt, 2*ue + role) are
-/// pure functions of their inputs, so any driver — the in-process
-/// BatchSettler below or the lossy-transport settler — produces
-/// byte-identical PoCs for the same inputs.
+/// pure functions of their inputs, so every rung negotiates the same
+/// PoCs for the same (UE, cycle) as long as that cycle is negotiated.
 [[nodiscard]] std::unique_ptr<TlcSession> make_batch_session(
     const BatchConfig& config, const RsaKeyCache& keys, std::uint64_t ue_id,
     PartyRole role, bool tolerate_faults = false);
+
+/// The in-process rung: the group's cycles through one session pair
+/// and a local FIFO pump. After the first cycle that fails, the rest
+/// are not negotiated and carry its reason (§5.1: retry policy belongs
+/// to the caller).
+void settle_in_process(const BatchConfig& config, const RsaKeyCache& keys,
+                       const std::vector<SettlementItem>& items,
+                       const UeGroup& group,
+                       std::vector<SettlementReceipt>& receipts);
 
 class BatchSettler {
  public:
   /// `keys` must outlive the settler.
   BatchSettler(BatchConfig config, const RsaKeyCache& keys);
 
-  /// Wires in crash injection with the transport settlers' contract:
-  /// the settle-cycle point fires before each (UE, cycle) negotiation,
-  /// scoped by UE id, so the k-th fire for a UE is its cycle k at any
-  /// thread count. A CrashException raised on a worker is rethrown on
-  /// the calling thread once every worker has stopped.
+  /// Crash injection as settle_by_ue describes.
   void set_crash_plan(recovery::CrashPlan* plan) { plan_ = plan; }
 
-  /// Settles every item. `threads` > 1 distributes UE groups over that
-  /// many workers (each group stays sequential internally and holds its
-  /// session pair only while it runs). Receipts come back in input
-  /// order and are identical for every thread count and every
-  /// cross-session interleaving.
+  /// Settles every item on the in-process rung through settle_by_ue.
+  /// Each group holds its session pair only while it runs.
   [[nodiscard]] std::vector<SettlementReceipt> settle(
       const std::vector<SettlementItem>& items, unsigned threads = 1) const;
 

@@ -24,6 +24,12 @@ constexpr std::uint8_t kOpSettle = 3;
 // v3: bill amounts moved from f64 currency units to u64 micro-units.
 constexpr std::uint8_t kSnapshotVersion = 3;
 
+// Encoded record sizes. Snapshot counts arrive from disk, so each
+// count-driven reserve is capped at the bytes left over the record size.
+constexpr std::size_t kCdrSize = 70;
+constexpr std::size_t kBillLineSize = 29;
+constexpr std::size_t kCensusEntrySize = 32;
+
 // tlclint: codec(ofcs_cdr_full, encode, version=kSnapshotVersion)
 void write_cdr(ByteWriter& w, const ChargingDataRecord& cdr) {
   w.u64(cdr.served_imsi.value);
@@ -233,16 +239,23 @@ std::vector<std::pair<Imsi, BillLine>> Ofcs::close_cycle_all(
   return lines;
 }
 
-void Ofcs::record_settlement(std::uint32_t cycle_index,
-                             SettlementOutcome outcome, std::uint64_t ue_id) {
+Status Ofcs::record_settlement(std::uint32_t cycle_index,
+                               SettlementOutcome outcome,
+                               std::uint64_t ue_id) {
+  if (cycle_index >= kMaxSettlementCycles) {
+    return Err("ofcs: settlement cycle past kMaxSettlementCycles");
+  }
   if (log_ != nullptr) {
     if (settled_.contains(SettleKey{ue_id, cycle_index})) {
       ++duplicate_ops_dropped_;
-      return;
+      return Status::Ok();
     }
-    if (!journal_op(encode_settle_op(ue_id, cycle_index, outcome))) return;
+    if (!journal_op(encode_settle_op(ue_id, cycle_index, outcome))) {
+      return recovery_error_;
+    }
   }
   apply_settlement(ue_id, cycle_index, outcome);
+  return Status::Ok();
 }
 
 void Ofcs::apply_settlement(std::uint64_t ue_id, std::uint32_t cycle_index,
@@ -408,6 +421,9 @@ Status Ofcs::apply_journal_op(const Bytes& op) {
       if (!ue_id || !cycle || !outcome) {
         return Err("ofcs: truncated settle op");
       }
+      if (*cycle >= kMaxSettlementCycles) {
+        return Err("ofcs: settlement cycle past kMaxSettlementCycles");
+      }
       if (settled_.contains(SettleKey{*ue_id, *cycle})) {
         ++duplicate_ops_dropped_;
         return Status::Ok();
@@ -486,7 +502,8 @@ Status Ofcs::restore_state(const Bytes& snapshot) {
     auto archive_count = r.u32();
     if (!imsi || !archive_count) return Err("ofcs snapshot: truncated");
     State& state = subscribers_[Imsi{*imsi}];
-    state.archive.reserve(*archive_count);
+    state.archive.reserve(
+        std::min<std::size_t>(*archive_count, r.remaining() / kCdrSize));
     for (std::uint32_t j = 0; j < *archive_count; ++j) {
       auto cdr = read_cdr(r);
       if (!cdr) return Err(cdr.error());
@@ -502,7 +519,8 @@ Status Ofcs::restore_state(const Bytes& snapshot) {
     state.pending_ul = *pending_ul;
     state.pending_dl = *pending_dl;
     state.next_cycle = *next_cycle;
-    state.billing.lines.reserve(*line_count);
+    state.billing.lines.reserve(
+        std::min<std::size_t>(*line_count, r.remaining() / kBillLineSize));
     for (std::uint32_t j = 0; j < *line_count; ++j) {
       auto line = read_line(r);
       if (!line) return Err(line.error());
@@ -525,7 +543,11 @@ Status Ofcs::restore_state(const Bytes& snapshot) {
   }
   auto cycle_count = r.u32();
   if (!cycle_count) return Err("ofcs snapshot: truncated");
-  settlement_by_cycle_.resize(*cycle_count);
+  if (*cycle_count > kMaxSettlementCycles) {
+    return Err("ofcs snapshot: census past kMaxSettlementCycles");
+  }
+  settlement_by_cycle_.reserve(
+      std::min<std::size_t>(*cycle_count, r.remaining() / kCensusEntrySize));
   for (std::uint32_t i = 0; i < *cycle_count; ++i) {
     auto converged = r.u64();
     auto retried = r.u64();
@@ -534,8 +556,8 @@ Status Ofcs::restore_state(const Bytes& snapshot) {
     if (!converged || !retried || !degraded || !rejected) {
       return Err("ofcs snapshot: truncated");
     }
-    settlement_by_cycle_[i] = SettlementCounters{*converged, *retried,
-                                                 *degraded, *rejected};
+    settlement_by_cycle_.push_back(
+        SettlementCounters{*converged, *retried, *degraded, *rejected});
   }
   auto seen_count = r.u32();
   if (!seen_count) return Err("ofcs snapshot: truncated");

@@ -36,6 +36,13 @@ enum class SettlementOutcome : std::uint8_t {
   RejectedTamper,
 };
 
+/// Settlement cycle indices at or past this are a typed error. The
+/// census is dense (one 32-byte counter set per cycle, indexed by
+/// cycle), so a settle op's cycle sizes an allocation: the bound caps
+/// it at 32 MiB, and at the paper's hourly cycles it is 119 years of
+/// billing.
+inline constexpr std::uint32_t kMaxSettlementCycles = 1u << 20;
+
 /// Per-cycle settlement outcome census.
 struct SettlementCounters {
   std::uint64_t converged = 0;
@@ -118,9 +125,12 @@ class Ofcs {
   /// fleet engine calls this once per settlement receipt). `ue_id`
   /// identifies the subscriber's device; with recovery attached it
   /// forms the idempotence key (ue, cycle) — re-recording after a
-  /// crash is a no-op, so no settled cycle is counted twice.
-  void record_settlement(std::uint32_t cycle_index, SettlementOutcome outcome,
-                         std::uint64_t ue_id = 0);
+  /// crash is a no-op, so no settled cycle is counted twice. A cycle
+  /// index at or past kMaxSettlementCycles is a typed error and records
+  /// nothing.
+  [[nodiscard]] Status record_settlement(std::uint32_t cycle_index,
+                                         SettlementOutcome outcome,
+                                         std::uint64_t ue_id = 0);
 
   /// Outcome census of one cycle (zero counters past the last recorded
   /// cycle) and the all-cycle aggregate.

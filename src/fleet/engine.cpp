@@ -12,6 +12,7 @@
 #include "crypto/sha256.hpp"
 #include "fleet/engine_detail.hpp"
 #include "sim/rng_stream.hpp"
+#include "util/logging.hpp"
 
 namespace tlc::fleet {
 namespace {
@@ -221,10 +222,16 @@ void aggregate_fleet(const FleetConfig& config, epc::Ofcs& ofcs,
 
   // Feed the settlement outcome census (§8) into the charging backend:
   // receipts are in (ue_index, cycle) input order, so the counters are
-  // thread-independent by construction.
+  // thread-independent by construction. A receipt the OFCS rejects (a
+  // cycle past epc::kMaxSettlementCycles, which only a damaged
+  // recovered chunk can carry) stays out of the census, as a cycle
+  // past config.base.cycles stays out of the bill below.
   for (const core::SettlementReceipt& receipt : result.receipts) {
-    ofcs.record_settlement(receipt.cycle, to_epc_outcome(receipt.outcome),
-                           receipt.ue_id);
+    if (Status recorded = ofcs.record_settlement(
+            receipt.cycle, to_epc_outcome(receipt.outcome), receipt.ue_id);
+        !recorded.ok()) {
+      TLC_WARN("fleet") << "settlement not recorded: " << recorded.error();
+    }
   }
 
   std::unordered_map<std::uint64_t, std::uint64_t> ue_by_imsi;

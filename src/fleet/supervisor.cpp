@@ -10,7 +10,6 @@
 #include "fleet/engine_detail.hpp"
 #include "recovery/checkpoint.hpp"
 #include "recovery/state_log.hpp"
-#include "transport/coded_session.hpp"
 #include "transport/lossy_settlement.hpp"
 #include "transport/settlement_journal.hpp"
 #include "util/fileio.hpp"
@@ -338,27 +337,24 @@ Status run_shard_phase(const SupervisorConfig& config,
 // off one settler call covers the whole item list.
 // ---------------------------------------------------------------------
 
-/// The fleet's one settler choice: coded, stop-and-wait or in-process,
-/// picked by which settler is constructed. All three take the same
-/// crash plan and fan UE groups out over `threads` workers.
+/// The fleet's one settler choice: the in-process BatchSettler, or the
+/// transport ladder, whose first rung TransportConfig::coding picks.
+/// Both run core::settle_by_ue with the same crash plan and `threads`.
 transport::LossyBatchReport settle_items(
     const SupervisorConfig& config, const core::RsaKeyCache& keys,
     const std::vector<core::SettlementItem>& items) {
   const FleetConfig& fleet = config.fleet;
   const core::BatchConfig batch = detail::make_batch_config(fleet);
-  const auto settle = [&](auto settler) {
+  if (fleet.lossy_transport) {
+    transport::LossySettler settler(batch, fleet.transport, keys);
     settler.set_crash_plan(config.plan);
     return settler.settle(items, fleet.threads);
-  };
-  if (!fleet.lossy_transport) {
-    transport::LossyBatchReport report;
-    report.receipts = settle(core::BatchSettler(batch, keys));
-    return report;
   }
-  if (fleet.transport.coding == transport::Coding::Rlnc) {
-    return settle(transport::CodedSettler(batch, fleet.transport, keys));
-  }
-  return settle(transport::LossySettler(batch, fleet.transport, keys));
+  core::BatchSettler settler(batch, keys);
+  settler.set_crash_plan(config.plan);
+  transport::LossyBatchReport report;
+  report.receipts = settler.settle(items, fleet.threads);
+  return report;
 }
 
 Status run_settle_phase(const SupervisorConfig& config,

@@ -6,7 +6,6 @@
 #include "recovery/crc32c.hpp"
 #include "sim/rng_stream.hpp"
 #include "transport/settlement_journal.hpp"
-#include "util/parallel_for.hpp"
 #include "util/serde.hpp"
 
 namespace tlc::transport {
@@ -442,103 +441,17 @@ Expected<std::vector<core::SettlementReceipt>> unseal_receipts(
   return receipts;
 }
 
-// ---------------------------------------------------------------------
-// CodedSettler
-// ---------------------------------------------------------------------
-
-CodedSettler::CodedSettler(core::BatchConfig config, TransportConfig transport,
-                           const core::RsaKeyCache& keys)
-    : config_(config), transport_(transport), keys_(keys) {}
-
-LossyBatchReport CodedSettler::settle(
-    const std::vector<core::SettlementItem>& items, unsigned threads) const {
-  LossyBatchReport report;
-  report.receipts.resize(items.size());
-  const std::vector<core::UeGroup> groups =
-      core::group_by_ue(items, report.receipts);
-  // Per-group counters merge after the fan-out, in group order — the
-  // same discipline that keeps receipts thread-count independent.
-  std::vector<CodedCounters> counters(groups.size());
-
-  util::parallel_for(groups.size(), threads, [&](std::size_t gi) {
-    const core::UeGroup& group = groups[gi];
-    const std::uint64_t ue = group.ue_id;
-    std::vector<core::SettlementItem> group_items;
-    group_items.reserve(group.item_indices.size());
-    for (const std::size_t index : group.item_indices) {
-      group_items.push_back(items[index]);
-      // Same (settle-cycle, ue) schedule as the stop-and-wait path:
-      // the k-th fire is this UE's cycle k at any thread count.
-      if (plan_ != nullptr) plan_->fire(recovery::kCrashSettleCycle, ue);
-    }
-
-    // Rung 1 — negotiate in-process (lossless batch mechanics), seal
-    // the receipts and carry them across the lossy link as one RLNC
-    // transfer. The negotiation is the same pure per-UE function the
-    // lossless settler computes, so a clean transfer reproduces the
-    // stop-and-wait zero-fault receipts byte for byte.
-    core::BatchSettler negotiator(config_, keys_);
-    std::vector<core::SettlementReceipt> receipts =
-        negotiator.settle(group_items, 1);
-    const Bytes payload = seal_receipts(receipts);
-
-    const std::uint64_t fault_stream = 2 * ue;
-    FaultyChannel channel(transport_.to_edge, transport_.to_operator,
-                          sim::stream_seed(transport_.seed, fault_stream));
-    const std::uint64_t coeff_root =
-        sim::stream_seed(transport_.seed, kCodedCoeffStream);
-    const std::uint64_t group_coeff_stream = ue;
-    const std::uint64_t coeff_seed =
-        sim::stream_seed(coeff_root, group_coeff_stream);
-
-    CodedReceiver receiver(transport_.coded);
-    receiver.set_crash_plan(plan_, ue);
-    CodedTransfer transfer(transport_.coded, channel,
-                           /*transfer_id=*/coeff_seed, payload, coeff_seed);
-    const TransferOutcome outcome = transfer.run(receiver);
-    CodedCounters& group_counters = counters[gi];
-    group_counters = outcome.counters;
-
-    std::vector<core::SettlementReceipt> delivered;
-    bool coded_ok = outcome.delivered;
-    if (coded_ok) {
-      auto decoded = receiver.payload();
-      coded_ok = decoded.has_value();
-      if (coded_ok) {
-        auto parsed = unseal_receipts(*decoded);
-        coded_ok =
-            parsed.has_value() && parsed->size() == group.item_indices.size();
-        if (coded_ok) delivered = std::move(*parsed);
-      }
-    }
-
-    if (coded_ok) {
-      group_counters.cycles_coded += delivered.size();
-      for (std::size_t j = 0; j < group.item_indices.size(); ++j) {
-        report.receipts[group.item_indices[j]] = std::move(delivered[j]);
-      }
-      return;
-    }
-
-    // Rung 2 — the coded path spent its budget: re-settle the whole
-    // group stop-and-wait (which itself degrades hopeless cycles to
-    // the legacy CDR bill, rung 3). The fallback draws its fault and
-    // jitter schedules from the same per-UE streams a pure
-    // stop-and-wait run would, so the ladder stays deterministic. The
-    // crash plan is deliberately not re-attached: this group's
-    // settle-cycle points already fired during negotiation.
-    ++group_counters.fallbacks;
-    LossySettler fallback(config_, transport_, keys_);
-    LossyBatchReport fallback_report = fallback.settle(group_items, 1);
-    for (std::size_t j = 0; j < group.item_indices.size(); ++j) {
-      report.receipts[group.item_indices[j]] =
-          std::move(fallback_report.receipts[j]);
-    }
-  });
-  for (const CodedCounters& group_counters : counters) {
-    report.coded += group_counters;
+Expected<std::vector<core::SettlementReceipt>> unseal_group_receipts(
+    const Bytes& payload, std::uint64_t ue_id, std::size_t cycles) {
+  auto receipts = unseal_receipts(payload);
+  if (!receipts) return receipts;
+  bool own = receipts->size() == cycles;
+  for (std::size_t cycle = 0; own && cycle < cycles; ++cycle) {
+    const core::SettlementReceipt& receipt = (*receipts)[cycle];
+    own = receipt.ue_id == ue_id && receipt.cycle == cycle;
   }
-  return report;
+  if (!own) return Err("sealed batch: not the group's receipts");
+  return receipts;
 }
 
 }  // namespace tlc::transport

@@ -10,15 +10,15 @@
 // with a single end-of-generation ACK. No per-packet ACKs, so k
 // losses cost k extra coded packets instead of k RTTs.
 //
-// Degradation ladder: when a generation exhausts its packet budget
-// (generation_size × max_overhead) or the transfer its tick budget,
-// the whole group falls back one rung to the stop-and-wait
-// LossySettler — which itself degrades unconvergeable cycles to the
-// legacy CDR bill. Every rung is deterministic, so the ladder is too.
+// Degradation ladder (lossy_settlement.hpp): when a generation
+// exhausts its packet budget (generation_size × max_overhead), the
+// transfer its tick budget, or the payload is not the group's, the
+// whole group falls back one rung to stop-and-wait — which itself
+// degrades unconvergeable cycles to the legacy CDR bill.
 //
 // Determinism contract: coefficient draws come from the dedicated
 // kCodedCoeffStream seed stream keyed by (transport.seed, ue,
-// generation); fault schedules reuse the LossySettler's per-UE
+// generation); fault schedules reuse the stop-and-wait rung's per-UE
 // channel stream. A group's coded transfer is a pure function of its
 // inputs wherever it runs — receipts, counters and every wire byte
 // are bit-identical at any thread count, and with coding off nothing
@@ -32,7 +32,6 @@
 #include "recovery/crash_plan.hpp"
 #include "recovery/journal.hpp"
 #include "transport/faulty_channel.hpp"
-#include "transport/lossy_settlement.hpp"
 #include "transport/rlnc.hpp"
 #include "transport/transport_config.hpp"
 #include "util/expected.hpp"
@@ -181,33 +180,6 @@ class CodedTransfer {
   std::uint64_t now_;
 };
 
-/// The §17 settler: same grouping, threading and crash-injection
-/// rules as LossySettler, but each group's receipts are negotiated
-/// in-process (lossless batch mechanics) and carried across the lossy
-/// link as one RLNC-coded sealed batch. With zero fault rates the
-/// receipts, bills and digests are byte-identical to LossySettler's.
-class CodedSettler {
- public:
-  /// `keys` must outlive the settler.
-  CodedSettler(core::BatchConfig config, TransportConfig transport,
-               const core::RsaKeyCache& keys);
-
-  /// Same crash-injection contract as LossySettler::set_crash_plan;
-  /// the settle-cycle point fires per (UE, cycle) before negotiation
-  /// and the coded packet points fire inside the group's transfer.
-  void set_crash_plan(recovery::CrashPlan* plan) { plan_ = plan; }
-
-  [[nodiscard]] LossyBatchReport settle(
-      const std::vector<core::SettlementItem>& items,
-      unsigned threads = 1) const;
-
- private:
-  core::BatchConfig config_;
-  TransportConfig transport_;
-  const core::RsaKeyCache& keys_;
-  recovery::CrashPlan* plan_ = nullptr;
-};
-
 /// Seals a group's receipts into the coded-transfer payload (u32
 /// count + full-fidelity receipts) / parses it back. Shared with the
 /// property tests so "decoded == sent" is asserted on real bytes.
@@ -215,5 +187,12 @@ class CodedSettler {
     const std::vector<core::SettlementReceipt>& receipts);
 [[nodiscard]] Expected<std::vector<core::SettlementReceipt>> unseal_receipts(
     const Bytes& payload);
+
+/// unseal_receipts, plus a typed error unless the receipts are exactly
+/// (ue_id, 0..cycles-1) in order: CRC32C does not authenticate the
+/// peer, and these fields key the OFCS ledger.
+[[nodiscard]] Expected<std::vector<core::SettlementReceipt>>
+unseal_group_receipts(const Bytes& payload, std::uint64_t ue_id,
+                      std::size_t cycles);
 
 }  // namespace tlc::transport

@@ -1,12 +1,26 @@
 #include "transport/lossy_settlement.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "sim/rng_stream.hpp"
+#include "transport/coded_session.hpp"
+#include "transport/faulty_channel.hpp"
 #include "transport/settlement_runner.hpp"
-#include "util/parallel_for.hpp"
 
 namespace tlc::transport {
+namespace {
+
+/// A UE's channel: its fault schedule derives from (seed, ue) alone, so
+/// a group is a pure function of its inputs wherever it runs, and the
+/// coded rung and its stop-and-wait fallback see the same link. Even
+/// stream; the odd one is the UE's retry jitter.
+FaultyChannel ue_channel(const TransportConfig& transport, std::uint64_t ue) {
+  const std::uint64_t fault_stream = 2 * ue;
+  return FaultyChannel(transport.to_edge, transport.to_operator,
+                       sim::stream_seed(transport.seed, fault_stream));
+}
+
+}  // namespace
 
 LossySettler::LossySettler(core::BatchConfig config, TransportConfig transport,
                            const core::RsaKeyCache& keys)
@@ -14,74 +28,113 @@ LossySettler::LossySettler(core::BatchConfig config, TransportConfig transport,
 
 LossyBatchReport LossySettler::settle(
     const std::vector<core::SettlementItem>& items, unsigned threads) const {
+  const bool coded = transport_.coding == Coding::Rlnc;
+  // Indexed by group; a batch has at most one group per item.
+  std::vector<CodedCounters> counters(coded ? items.size() : 0);
   LossyBatchReport report;
-  report.receipts.resize(items.size());
-
-  // Same grouping as BatchSettler: by UE in first-appearance order,
-  // item n of a UE = its cycle n.
-  const std::vector<core::UeGroup> groups =
-      core::group_by_ue(items, report.receipts);
-
-  // Each group is a pure function of its inputs and writes only its own
-  // receipt slots, so results never depend on the worker count.
-  util::parallel_for(groups.size(), threads, [&](std::size_t g) {
-    const core::UeGroup& group = groups[g];
-    const std::uint64_t ue = group.ue_id;
-    auto edge = core::make_batch_session(config_, keys_, ue,
-                                         core::PartyRole::EdgeVendor,
-                                         /*tolerate_faults=*/true);
-    auto op = core::make_batch_session(config_, keys_, ue,
-                                       core::PartyRole::Operator,
-                                       /*tolerate_faults=*/true);
-    // Fault schedules and retry jitter derive from (seed, ue, ...):
-    // the group is a pure function of its inputs wherever it runs.
-    // Even/odd streams split the per-UE index space between the two
-    // consumers.
-    const std::uint64_t fault_stream = 2 * ue;
-    const std::uint64_t jitter_stream = 2 * ue + 1;
-    FaultyChannel channel(transport_.to_edge, transport_.to_operator,
-                          sim::stream_seed(transport_.seed, fault_stream));
-    const std::uint64_t jitter_root =
-        sim::stream_seed(transport_.seed, jitter_stream);
-    std::uint64_t now = 0;
-
-    for (std::size_t slot = 0; slot < group.item_indices.size(); ++slot) {
-      const std::size_t item_index = group.item_indices[slot];
-      const core::SettlementItem& item = items[item_index];
-      core::SettlementReceipt& receipt = report.receipts[item_index];
-
-      // Scoped by UE: the k-th visit of (settle-cycle, ue) is this
-      // UE's cycle k no matter how groups land on workers.
-      if (plan_ != nullptr) plan_->fire(recovery::kCrashSettleCycle, ue);
-
-      if (!op->begin_cycle(item.op_view).ok() ||
-          !edge->begin_cycle(item.edge_view).ok()) {
-        receipt.failure_reason = "cycle could not start";
-        continue;
-      }
-      // Each cycle is a fresh transport association: leftovers of the
-      // previous cycle (late duplicates, reordered stragglers) must
-      // not replay into this one.
-      channel.drain();
-
-      const std::uint64_t slot_stream = slot;
-      SettlementRunner runner(*edge, *op, channel, transport_.retry,
-                              sim::stream_seed(jitter_root, slot_stream), now);
-      CycleRunResult result = runner.run_cycle(
-          keys_.edge_key(ue).public_key, keys_.operator_key(ue).public_key);
-      now = runner.now() + 1;
-
-      receipt.outcome = result.outcome;
-      receipt.completed = result.outcome == core::SettleOutcome::Converged ||
-                          result.outcome == core::SettleOutcome::Retried;
-      receipt.charged = result.charged;
-      receipt.rounds = result.rounds;
-      receipt.poc_wire = std::move(result.poc_wire);
-      receipt.retransmits = result.retransmits;
-      receipt.failure_reason = std::move(result.failure_reason);
-    }
-  });
+  report.receipts = core::settle_by_ue(
+      items, threads, plan_,
+      [&](std::size_t g, const core::UeGroup& group, Receipts& receipts) {
+        if (coded) {
+          counters[g] = settle_coded(items, group, receipts);
+        } else {
+          settle_stop_and_wait(items, group, receipts);
+        }
+      });
+  for (const CodedCounters& group_counters : counters) {
+    report.coded += group_counters;
+  }
   return report;
+}
+
+void LossySettler::settle_stop_and_wait(
+    const std::vector<core::SettlementItem>& items, const core::UeGroup& group,
+    Receipts& receipts) const {
+  const std::uint64_t ue = group.ue_id;
+  auto edge = core::make_batch_session(config_, keys_, ue,
+                                       core::PartyRole::EdgeVendor,
+                                       /*tolerate_faults=*/true);
+  auto op = core::make_batch_session(config_, keys_, ue,
+                                     core::PartyRole::Operator,
+                                     /*tolerate_faults=*/true);
+  FaultyChannel channel = ue_channel(transport_, ue);
+  const std::uint64_t jitter_stream = 2 * ue + 1;
+  const std::uint64_t jitter_root =
+      sim::stream_seed(transport_.seed, jitter_stream);
+  std::uint64_t now = 0;
+
+  for (std::size_t cycle = 0; cycle < receipts.size(); ++cycle) {
+    const core::SettlementItem& item = items[group.item_indices[cycle]];
+    core::SettlementReceipt& receipt = receipts[cycle];
+    if (!op->begin_cycle(item.op_view).ok() ||
+        !edge->begin_cycle(item.edge_view).ok()) {
+      receipt.failure_reason = "cycle could not start";
+      continue;
+    }
+    // Each cycle is a fresh transport association: leftovers of the
+    // previous cycle (late duplicates, reordered stragglers) must not
+    // replay into this one.
+    channel.drain();
+
+    const std::uint64_t cycle_stream = cycle;
+    SettlementRunner runner(*edge, *op, channel, transport_.retry,
+                            sim::stream_seed(jitter_root, cycle_stream), now);
+    CycleRunResult result = runner.run_cycle(
+        keys_.edge_key(ue).public_key, keys_.operator_key(ue).public_key);
+    now = runner.now() + 1;
+
+    receipt.outcome = result.outcome;
+    receipt.completed = result.outcome == core::SettleOutcome::Converged ||
+                        result.outcome == core::SettleOutcome::Retried;
+    receipt.charged = result.charged;
+    receipt.rounds = result.rounds;
+    receipt.poc_wire = std::move(result.poc_wire);
+    receipt.retransmits = result.retransmits;
+    receipt.failure_reason = std::move(result.failure_reason);
+  }
+}
+
+CodedCounters LossySettler::settle_coded(
+    const std::vector<core::SettlementItem>& items, const core::UeGroup& group,
+    Receipts& receipts) const {
+  const std::uint64_t ue = group.ue_id;
+  // Negotiate in-process, seal the receipts and carry them across the
+  // lossy link as one RLNC transfer. `receipts` keeps its stamped
+  // blanks until the transfer lands, for the fallback below.
+  Receipts negotiated = receipts;
+  core::settle_in_process(config_, keys_, items, group, negotiated);
+
+  FaultyChannel channel = ue_channel(transport_, ue);
+  const std::uint64_t coeff_root =
+      sim::stream_seed(transport_.seed, kCodedCoeffStream);
+  const std::uint64_t group_coeff_stream = ue;
+  const std::uint64_t coeff_seed =
+      sim::stream_seed(coeff_root, group_coeff_stream);
+  CodedReceiver receiver(transport_.coded);
+  receiver.set_crash_plan(plan_, ue);
+  CodedTransfer transfer(transport_.coded, channel,
+                         /*transfer_id=*/coeff_seed,
+                         seal_receipts(negotiated), coeff_seed);
+  const TransferOutcome outcome = transfer.run(receiver);
+  CodedCounters counters = outcome.counters;
+
+  if (outcome.delivered) {
+    if (auto payload = receiver.payload()) {
+      if (auto delivered =
+              unseal_group_receipts(*payload, ue, receipts.size())) {
+        counters.cycles_coded += receipts.size();
+        receipts = std::move(*delivered);
+        return counters;
+      }
+    }
+  }
+  // The coded rung spent its budget or the payload was not this
+  // group's: re-settle the whole group stop-and-wait, which degrades
+  // hopeless cycles to the legacy CDR bill. Its fault and jitter
+  // schedules are the ones a pure stop-and-wait run draws.
+  ++counters.fallbacks;
+  settle_stop_and_wait(items, group, receipts);
+  return counters;
 }
 
 }  // namespace tlc::transport

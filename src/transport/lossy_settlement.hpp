@@ -1,35 +1,44 @@
-// Batch settlement over a fault-injected transport (§8).
+// Batch settlement over a fault-injected transport: the §17
+// degradation ladder. LossySettler is the one transport settler; it
+// runs on core::settle_by_ue and picks each UE group's first rung from
+// TransportConfig::coding:
 //
-// The lossy-link counterpart of core::BatchSettler: the same per-UE
-// reusable session pairs and key slots, but every wire message crosses
-// a FaultyChannel and is protected by the stop-and-wait retry shim.
-// Unlike the in-process settler, a cycle that cannot converge does not
-// poison its UE — it degrades to the legacy CDR bill and the next
-// cycle proceeds.
+//   Coding::Rlnc  coded → stop-and-wait → legacy
+//   Coding::Off           stop-and-wait → legacy
 //
-// Determinism contract: every random draw derives from
-// (transport.seed, ue, message index) for faults, (transport.seed, ue,
-// cycle, party) for retry jitter, and (rng_salt, ue, role) for session
-// nonces — pure functions, no wall clock, no shared RNG sequences.
-// Receipts and counters are therefore bit-identical for every thread
-// count, and with all-zero fault rates the PoC bytes equal the
-// lossless BatchSettler's exactly.
+// The coded rung negotiates in-process and carries the group's sealed
+// receipts as one RLNC transfer (coded_session.hpp); a spent budget or
+// a payload that is not the group's drops the whole group a rung.
+// Stop-and-wait (§8) sends every message through a FaultyChannel under
+// the retry shim and degrades a cycle that cannot converge to the
+// legacy CDR bill; the UE's next cycle proceeds.
+//
+// Zero-fault contract: every rung matches the in-process receipts
+// through each UE's first failed cycle, which fails on every rung
+// (with a rung-specific reason). After it the in-process and coded
+// rungs leave the UE's remaining cycles un-negotiated; stop-and-wait
+// negotiates them.
+//
+// Determinism contract: faults derive from (transport.seed, ue,
+// message index), retry jitter from (transport.seed, ue, cycle,
+// party), RLNC coefficients from (transport.seed, kCodedCoeffStream,
+// ue) and session nonces from (rng_salt, ue, role) — no wall clock, no
+// shared RNG sequences — so receipts and counters are bit-identical for
+// every thread count.
 #pragma once
 
 #include <vector>
 
 #include "core/batch_settlement.hpp"
 #include "recovery/crash_plan.hpp"
-#include "transport/faulty_channel.hpp"
-#include "transport/retry.hpp"
 #include "transport/transport_config.hpp"
 
 namespace tlc::transport {
 
-/// Receipts plus the coded-path census (§17; all-zero from
-/// LossySettler itself and whenever TransportConfig::coding is off).
-/// The per-outcome census (§8) is the OFCS's SettlementCounters, which
-/// counts each receipt's outcome as it is billed.
+/// Receipts plus the coded-path census (§17; all-zero with
+/// Coding::Off). The per-outcome census (§8) is the OFCS's
+/// SettlementCounters, which counts each receipt's outcome as it is
+/// billed.
 struct LossyBatchReport {
   std::vector<core::SettlementReceipt> receipts;
   CodedCounters coded;
@@ -41,24 +50,34 @@ class LossySettler {
   LossySettler(core::BatchConfig config, TransportConfig transport,
                const core::RsaKeyCache& keys);
 
-  /// Wires in crash injection: the settle-cycle point fires before
-  /// each (UE, cycle) negotiation, scoped by UE id so the schedule is
-  /// thread-count independent. A CrashException raised inside a worker
-  /// stops the fan-out and is rethrown from the calling thread once
-  /// every worker has joined — the supervisor sees one clean crash.
+  /// Crash injection as core::settle_by_ue describes; the coded rung
+  /// also fires the coded-packet points inside each group's transfer.
   void set_crash_plan(recovery::CrashPlan* plan) { plan_ = plan; }
 
-  /// Settles every item; same grouping, ordering and threading rules
-  /// as BatchSettler::settle.
+  /// Settles every item down the ladder; receipts come back in input
+  /// order, per-group coded counters merge in group order.
   [[nodiscard]] LossyBatchReport settle(
       const std::vector<core::SettlementItem>& items,
       unsigned threads = 1) const;
 
  private:
+  using Receipts = std::vector<core::SettlementReceipt>;
+
+  void settle_stop_and_wait(const std::vector<core::SettlementItem>& items,
+                            const core::UeGroup& group,
+                            Receipts& receipts) const;
+  [[nodiscard]] CodedCounters settle_coded(
+      const std::vector<core::SettlementItem>& items,
+      const core::UeGroup& group, Receipts& receipts) const;
+
   core::BatchConfig config_;
   TransportConfig transport_;
   const core::RsaKeyCache& keys_;
   recovery::CrashPlan* plan_ = nullptr;
 };
+
+/// The name benchmark/src/traced.cpp settles coded fleets under; with
+/// Coding::Rlnc the ladder starts on the coded rung.
+using CodedSettler = LossySettler;
 
 }  // namespace tlc::transport

@@ -50,6 +50,11 @@ Expected<core::SettlementReceipt> read_receipt(ByteReader& r) {
   if (!outcome || !retransmits) {
     return Err("settlement journal: truncated receipt");
   }
+  constexpr auto kLastOutcome =
+      static_cast<std::uint8_t>(core::SettleOutcome::RejectedTamper);
+  if (*outcome > kLastOutcome) {
+    return Err("settlement journal: unknown receipt outcome");
+  }
   receipt.outcome = static_cast<core::SettleOutcome>(*outcome);
   receipt.retransmits = static_cast<int>(*retransmits);
   auto failure_reason = r.str();

@@ -1,9 +1,9 @@
 // Transport-layer configuration shared by the stop-and-wait and
 // network-coded settlement paths (§8, §17).
 //
-// Split out of lossy_settlement.hpp so the coded session (which the
-// LossySettler is itself a fallback target of) can see the config
-// without an include cycle. `TransportConfig::coding` selects the
+// Split out of lossy_settlement.hpp so the coded session (the first
+// rung of LossySettler's ladder) can see the config without an include
+// cycle. `TransportConfig::coding` selects the
 // path; with `Coding::Off` every consumer behaves byte-identically to
 // the pre-coding transport — the coded knobs are never read and no
 // coded seed stream is ever drawn.

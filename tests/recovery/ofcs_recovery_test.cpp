@@ -16,6 +16,7 @@
 #include "epc/ofcs.hpp"
 #include "recovery/crash_plan.hpp"
 #include "recovery/state_log.hpp"
+#include "util/serde.hpp"
 
 namespace tlc::epc {
 namespace {
@@ -58,8 +59,12 @@ void drive(Ofcs& ofcs, bool with_checkpoint = true) {
     ofcs.ingest(make_cdr(kUeB, 1, cycle, 0, 2500 * (cycle + 1)));
     (void)ofcs.close_cycle(kUeA, cycle);
     (void)ofcs.close_cycle(kUeB, cycle);
-    ofcs.record_settlement(cycle, SettlementOutcome::Converged, /*ue=*/1);
-    ofcs.record_settlement(cycle, SettlementOutcome::Retried, /*ue=*/2);
+    EXPECT_TRUE(
+        ofcs.record_settlement(cycle, SettlementOutcome::Converged, /*ue=*/1)
+            .ok());
+    EXPECT_TRUE(
+        ofcs.record_settlement(cycle, SettlementOutcome::Retried, /*ue=*/2)
+            .ok());
     if (cycle == 1 && with_checkpoint) {
       ASSERT_TRUE(ofcs.checkpoint().ok());
     }
@@ -218,6 +223,33 @@ TEST(OfcsRecoveryTest, DetachedLegacyBehaviourUnchanged) {
   EXPECT_EQ(recovered_billing->lines[1].billed_volume, line->billed_volume);
   EXPECT_EQ(recovered_billing->lines[1].amount_micro, line->amount_micro);
   wipe(dir, "ofcs_legacy");
+}
+
+TEST(OfcsRecoveryTest, JournaledSettleOpPastTheBoundIsATypedError) {
+  // A settle op for cycle 0xffffffff replayed from the journal once
+  // wrote past the census, as a live record_settlement did.
+  const std::string dir = ::testing::TempDir();
+  const std::string stem = "ofcs_settle_bound";
+  wipe(dir, stem);
+  {
+    auto log = recovery::StateLog::open(dir, stem);
+    ASSERT_TRUE(log.has_value()) << log.error();
+    ByteWriter op;  // ofcs_op_settle: tag, ue, cycle, outcome
+    op.u8(3);
+    op.u64(1);
+    op.u32(0xffffffff);
+    op.u8(0);
+    ASSERT_TRUE(log->append(op.take()).ok());
+  }
+  auto log = recovery::StateLog::open(dir, stem);
+  ASSERT_TRUE(log.has_value()) << log.error();
+  Ofcs ofcs(test_plan());
+  const Status attached = ofcs.attach_recovery(&*log);
+  ASSERT_FALSE(attached.ok());
+  EXPECT_EQ(attached.error(),
+            "ofcs: settlement cycle past kMaxSettlementCycles");
+  EXPECT_EQ(ofcs.settlement_cycles(), 0u);
+  wipe(dir, stem);
 }
 
 }  // namespace

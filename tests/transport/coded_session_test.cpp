@@ -255,6 +255,7 @@ TEST(CodedSealTest, SealUnsealRoundTripsFullFidelity) {
     EXPECT_EQ((*unsealed)[i].failure_reason, receipts[i].failure_reason) << i;
   }
   EXPECT_FALSE(unseal_receipts(Bytes{0, 0}).has_value());
+  EXPECT_TRUE(unseal_group_receipts(sealed, 7, 3).has_value());
 }
 
 TEST(CodedSealTest, CountBeyondPayloadIsATypedError) {
@@ -264,6 +265,46 @@ TEST(CodedSealTest, CountBeyondPayloadIsATypedError) {
   auto unsealed = unseal_receipts(Bytes{0xff, 0xff, 0xff, 0x0f});
   ASSERT_FALSE(unsealed.has_value());
   EXPECT_EQ(unsealed.error(), "settlement journal: truncated receipt");
+}
+
+/// Three receipts of UE 7, cycles 0..2, as the coded rung seals them.
+std::vector<core::SettlementReceipt> group_receipts() {
+  std::vector<core::SettlementReceipt> receipts(3);
+  for (std::uint32_t cycle = 0; cycle < receipts.size(); ++cycle) {
+    receipts[cycle].ue_id = 7;
+    receipts[cycle].cycle = cycle;
+  }
+  return receipts;
+}
+
+TEST(CodedSealTest, AnotherGroupsReceiptsAreATypedError) {
+  // CRC32C screens line damage, not the sender: whatever ue_id and
+  // cycle the peer seals would go straight into the OFCS ledger.
+  std::vector<core::SettlementReceipt> wrong_cycle = group_receipts();
+  wrong_cycle[1].cycle = 2;
+  std::vector<core::SettlementReceipt> max_cycle = group_receipts();
+  max_cycle[2].cycle = 0xffffffff;
+  std::vector<core::SettlementReceipt> wrong_ue = group_receipts();
+  wrong_ue[0].ue_id = 8;
+  std::vector<core::SettlementReceipt> short_group = group_receipts();
+  short_group.pop_back();
+
+  for (const auto& receipts : {wrong_cycle, max_cycle, wrong_ue, short_group}) {
+    auto unsealed = unseal_group_receipts(seal_receipts(receipts), 7, 3);
+    ASSERT_FALSE(unsealed.has_value());
+    EXPECT_EQ(unsealed.error(), "sealed batch: not the group's receipts");
+  }
+}
+
+TEST(CodedSealTest, UnknownOutcomeByteIsATypedError) {
+  // The outcome byte was cast into SettleOutcome whatever its value.
+  std::vector<core::SettlementReceipt> receipts = group_receipts();
+  receipts[1].outcome = static_cast<core::SettleOutcome>(9);
+  const Bytes sealed = seal_receipts(receipts);
+  auto unsealed = unseal_receipts(sealed);
+  ASSERT_FALSE(unsealed.has_value());
+  EXPECT_EQ(unsealed.error(), "settlement journal: unknown receipt outcome");
+  EXPECT_FALSE(unseal_group_receipts(sealed, 7, 3).has_value());
 }
 
 // ---------------------------------------------------------------------
