@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "fleet/engine.hpp"
-#include "small_cells_fleet.hpp"
+#include "smoke_fleets.hpp"
 
 namespace tlc::fleet {
 namespace {

@@ -7,7 +7,10 @@
 // census, for the items of the small_cells benchmark shape at smoke
 // size (16 UEs, 3 cycles, seed 1). In that set UE 2's cycle 1 hits the
 // round cap and its cycle 2 follows it, so the in-process abandon
-// policy and the stop-and-wait per-cycle degradation both show.
+// policy and the stop-and-wait per-cycle degradation both show. The
+// dense_cell smoke set (12 UEs, 3 cycles, seed 1) pins the in-process
+// and zero-fault coded receipts of the workload whose round-cap cycles
+// dominate settle time; there too UE 2's cycle 1 is stuck at the cap.
 //
 // Each case runs at 1 and 3 threads; both must hash to the golden.
 #include <gtest/gtest.h>
@@ -21,7 +24,7 @@
 #include "fleet/engine_detail.hpp"
 #include "transport/coded_session.hpp"
 #include "transport/lossy_settlement.hpp"
-#include "small_cells_fleet.hpp"
+#include "smoke_fleets.hpp"
 #include "util/serde.hpp"
 
 namespace tlc::transport {
@@ -83,27 +86,35 @@ std::string digest(const LossyBatchReport& report) {
   return to_hex(crypto::sha256(w.data()));
 }
 
+/// One smoke fleet's settlement inputs: its config, items and keys.
+struct SmokeSet {
+  explicit SmokeSet(const fleet::FleetConfig& fleet_config)
+      : config(fleet_config),
+        items(fleet::detail::settlement_items(
+            fleet::run_fleet(config).records, config)),
+        keys(config.rsa_bits, config.key_cache_slots,
+             fleet::detail::key_cache_seed(config)) {}
+
+  [[nodiscard]] core::BatchConfig batch() const {
+    return fleet::detail::make_batch_config(config);
+  }
+
+  fleet::FleetConfig config;
+  std::vector<core::SettlementItem> items;
+  core::RsaKeyCache keys;
+};
+
 class SettlementGoldenTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    config_ = new fleet::FleetConfig(small_cells_smoke());
-    const fleet::FleetResult fleet = fleet::run_fleet(*config_);
-    items_ = new std::vector<core::SettlementItem>(
-        fleet::detail::settlement_items(fleet.records, *config_));
-    keys_ = new core::RsaKeyCache(config_->rsa_bits, config_->key_cache_slots,
-                                  fleet::detail::key_cache_seed(*config_));
+    small_ = new SmokeSet(small_cells_smoke());
+    dense_ = new SmokeSet(dense_cell_smoke());
   }
   static void TearDownTestSuite() {
-    delete keys_;
-    delete items_;
-    delete config_;
-    keys_ = nullptr;
-    items_ = nullptr;
-    config_ = nullptr;
-  }
-
-  static core::BatchConfig batch() {
-    return fleet::detail::make_batch_config(*config_);
+    delete small_;
+    delete dense_;
+    small_ = nullptr;
+    dense_ = nullptr;
   }
 
   template <typename Settle>
@@ -113,25 +124,23 @@ class SettlementGoldenTest : public ::testing::Test {
     }
   }
 
-  static fleet::FleetConfig* config_;
-  static std::vector<core::SettlementItem>* items_;
-  static core::RsaKeyCache* keys_;
+  static SmokeSet* small_;
+  static SmokeSet* dense_;
 };
 
-fleet::FleetConfig* SettlementGoldenTest::config_ = nullptr;
-std::vector<core::SettlementItem>* SettlementGoldenTest::items_ = nullptr;
-core::RsaKeyCache* SettlementGoldenTest::keys_ = nullptr;
+SmokeSet* SettlementGoldenTest::small_ = nullptr;
+SmokeSet* SettlementGoldenTest::dense_ = nullptr;
 
 TEST_F(SettlementGoldenTest, ItemsAreTheSmallCellsSmokeSet) {
-  ASSERT_EQ(items_->size(), 48u);  // 16 UEs x 3 cycles
+  ASSERT_EQ(small_->items.size(), 48u);  // 16 UEs x 3 cycles
 }
 
 TEST_F(SettlementGoldenTest, InProcess) {
   expect_golden(
       [](unsigned threads) {
         LossyBatchReport report;
-        report.receipts =
-            core::BatchSettler(batch(), *keys_).settle(*items_, threads);
+        report.receipts = core::BatchSettler(small_->batch(), small_->keys)
+                              .settle(small_->items, threads);
         return report;
       },
       "93678e9aebfba1e6930d8ec77016e7a4ea3e78ed63fb56f3b91b200f52d7abfc");
@@ -142,8 +151,8 @@ TEST_F(SettlementGoldenTest, StopAndWaitZeroFault) {
   transport.seed = 0x601de7;
   expect_golden(
       [&](unsigned threads) {
-        return LossySettler(batch(), transport, *keys_)
-            .settle(*items_, threads);
+        return LossySettler(small_->batch(), transport, small_->keys)
+            .settle(small_->items, threads);
       },
       "c4271485cb8466dee997d6228d85859801949047d3023b29aea8d69f708f564f");
 }
@@ -151,8 +160,9 @@ TEST_F(SettlementGoldenTest, StopAndWaitZeroFault) {
 TEST_F(SettlementGoldenTest, StopAndWaitFaulty) {
   expect_golden(
       [](unsigned threads) {
-        return LossySettler(batch(), faulty_transport(Coding::Off), *keys_)
-            .settle(*items_, threads);
+        return LossySettler(small_->batch(), faulty_transport(Coding::Off),
+                            small_->keys)
+            .settle(small_->items, threads);
       },
       "ceeb58fb954b93fb760dc79280caa086e8af71bac7321c2013c3de77e35c12de");
 }
@@ -163,8 +173,8 @@ TEST_F(SettlementGoldenTest, CodedZeroFault) {
   transport.coding = Coding::Rlnc;
   expect_golden(
       [&](unsigned threads) {
-        return CodedSettler(batch(), transport, *keys_)
-            .settle(*items_, threads);
+        return CodedSettler(small_->batch(), transport, small_->keys)
+            .settle(small_->items, threads);
       },
       "54a7b03044608580d33166297a26beba8ee89144d7988d8b1e0fd7b774501a9c");
 }
@@ -172,8 +182,9 @@ TEST_F(SettlementGoldenTest, CodedZeroFault) {
 TEST_F(SettlementGoldenTest, CodedFaulty) {
   expect_golden(
       [](unsigned threads) {
-        return CodedSettler(batch(), faulty_transport(Coding::Rlnc), *keys_)
-            .settle(*items_, threads);
+        return CodedSettler(small_->batch(), faulty_transport(Coding::Rlnc),
+                            small_->keys)
+            .settle(small_->items, threads);
       },
       "8351dd69fe90e9b2ba15b4639a398073eeda209c0124e386a6cd504acd37a4f2");
 }
@@ -181,10 +192,37 @@ TEST_F(SettlementGoldenTest, CodedFaulty) {
 TEST_F(SettlementGoldenTest, CodedHopelessLinkFallsBackWholeGroups) {
   expect_golden(
       [](unsigned threads) {
-        return CodedSettler(batch(), hopeless_transport(), *keys_)
-            .settle(*items_, threads);
+        return CodedSettler(small_->batch(), hopeless_transport(), small_->keys)
+            .settle(small_->items, threads);
       },
       "fe31209762c646eb08b7204fdf50cb039653db0bd95e27765210bedda1c5b033");
+}
+
+TEST_F(SettlementGoldenTest, ItemsAreTheDenseCellSmokeSet) {
+  ASSERT_EQ(dense_->items.size(), 36u);  // 12 UEs x 3 cycles
+}
+
+TEST_F(SettlementGoldenTest, DenseCellInProcess) {
+  expect_golden(
+      [](unsigned threads) {
+        LossyBatchReport report;
+        report.receipts = core::BatchSettler(dense_->batch(), dense_->keys)
+                              .settle(dense_->items, threads);
+        return report;
+      },
+      "6bfbf5e7a1487d5c1587bfc879faf6a3250958a88fd835bec678bc06d90794ef");
+}
+
+TEST_F(SettlementGoldenTest, DenseCellCodedZeroFault) {
+  TransportConfig transport;
+  transport.seed = 0x601de7;
+  transport.coding = Coding::Rlnc;
+  expect_golden(
+      [&](unsigned threads) {
+        return CodedSettler(dense_->batch(), transport, dense_->keys)
+            .settle(dense_->items, threads);
+      },
+      "aff2d79b9c724c6ad3b631c526832fee65d36977b9664dfa29faa44d0f0eaa2a");
 }
 
 }  // namespace
