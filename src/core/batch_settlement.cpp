@@ -206,7 +206,12 @@ void settle_in_process(const BatchConfig& config, const RsaKeyCache& keys,
       receipts[cycle].failure_reason = pair.poison_reason;
       continue;
     }
-    while (!pair.wire.empty() && !pair.poisoned) deliver_one(pair);
+    // Two parties stalled at the fixed point would repeat their round
+    // up to the cap: fail the cycle now, as the capped run would.
+    while (!pair.wire.empty() && !pair.poisoned &&
+           !(pair.edge->stalled() && pair.op->stalled())) {
+      deliver_one(pair);
+    }
     finish_group_cycle(pair, receipts[cycle]);
   }
 }

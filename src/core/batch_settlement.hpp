@@ -16,6 +16,12 @@
 // groups out over util::parallel_for. Every rung — in-process here,
 // stop-and-wait and coded in transport::LossySettler — is a per-group
 // function on that one fan-out.
+//
+// A stuck negotiation: the in-process rung, and so the coded rung that
+// negotiates through it, stops once both sessions sit at Algorithm 1's
+// fixed point (negotiation.hpp) and fails the cycle with the receipt
+// the round cap would give. Stop-and-wait runs to the cap, since its
+// faults are indexed by message.
 #pragma once
 
 #include <cstdint>
@@ -131,7 +137,9 @@ using SettleGroup =
     PartyRole role, bool tolerate_faults = false);
 
 /// The in-process rung: the group's cycles through one session pair
-/// and a local FIFO pump. After the first cycle that fails, the rest
+/// and a local FIFO pump. The pump stops as soon as both sessions report
+/// stalled() (negotiation.hpp): the cycle then fails exactly as it
+/// would at the round cap. After the first cycle that fails, the rest
 /// are not negotiated and carry its reason (§5.1: retry policy belongs
 /// to the caller).
 void settle_in_process(const BatchConfig& config, const RsaKeyCache& keys,

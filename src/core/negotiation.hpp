@@ -24,6 +24,18 @@
 //
 // Merging the two shapes would change negotiate()'s RandomSelfish
 // outcomes, which feed the fleet's gap-CDF digest.
+//
+// A negotiation that cannot settle ends at the round cap, with one
+// shortcut. When both strategies are stationary (strategy.hpp) and a
+// rejected round repeats the previous one — same claims, window left
+// unchanged — every later round repeats it too (Theorems 3-4: neither
+// party gains by moving its claim). Each endpoint reports that as
+// stalled(), and in-process settlement (batch_settlement.hpp) fails the
+// cycle as soon as both do, exactly as the capped run would. The
+// stop-and-wait transport keeps the full exchange, because its message
+// faults are indexed by message count. Skipping rounds needs no RNG
+// fast-forward: each cycle's endpoint gets rng_.fork() of its session
+// stream, so nonces a cycle did not draw never reach a later cycle.
 #pragma once
 
 #include <algorithm>
@@ -56,6 +68,8 @@ class ClaimWindow {
 
   /// True once no compliant claim can move any more.
   [[nodiscard]] bool pinned() const { return lower_ == upper_; }
+
+  friend bool operator==(const ClaimWindow&, const ClaimWindow&) = default;
 
   /// The inputs a strategy sees this round; `c` is the plan's loss
   /// weight, passed through untouched.

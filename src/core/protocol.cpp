@@ -144,7 +144,9 @@ void ProtocolEndpoint::emit_cdr(std::uint64_t claim) {
   send_wire(last_sent_cdr_wire_);
 }
 
-void ProtocolEndpoint::emit_cda(const Bytes& peer_cdr_wire) {
+void ProtocolEndpoint::emit_cda(const Bytes& peer_cdr_wire,
+                                std::uint64_t peer_claim) {
+  accepted_claim_ = peer_claim;
   own_nonce_ = rng_.next_u64();
 
   SignedCda cda;
@@ -169,13 +171,23 @@ void ProtocolEndpoint::claim_round() {
 }
 
 void ProtocolEndpoint::reclaim(std::uint64_t peer_claim) {
+  const ClaimWindow opened = window_;
   if (window_.admits(peer_claim)) {
     window_.contract(own_claim_, peer_claim);
   } else {
     ++bound_violations_;
   }
+  note_rejection(opened, own_claim_, peer_claim);
   ++current_round_;
   claim_round();
+}
+
+void ProtocolEndpoint::note_rejection(const ClaimWindow& opened,
+                                      std::uint64_t own, std::uint64_t peer) {
+  const std::pair claims{own, peer};
+  stalled_ = strategy_.stationary() && window_ == opened &&
+             rejected_claims_ == claims;
+  rejected_claims_ = claims;
 }
 
 void ProtocolEndpoint::start() {
@@ -236,10 +248,13 @@ Expected<Signed> ProtocolEndpoint::open(const Bytes& wire) {
 Status ProtocolEndpoint::handle_cdr(const Bytes& wire) {
   auto cdr = open<SignedCdr>(wire);
   if (!cdr) return Err(cdr.error());
-  const auto round = static_cast<int>(cdr->body.seq);
+  // The peer signs a u64 seq; compare it unnarrowed, or seq = 2^32
+  // would pass for round 0.
+  const std::uint64_t seq = cdr->body.seq;
+  const auto current = static_cast<std::uint64_t>(current_round_);
   const std::uint64_t peer_claim = cdr->body.volume;
 
-  if (state_ == EndpointState::SentCdr && round == current_round_) {
+  if (state_ == EndpointState::SentCdr && seq == current) {
     // I already claimed this round and now hold the peer's same-round
     // claim. Normally that means the peer rejected mine (an accepting
     // peer sends a CDA) — but when both parties initiated the same
@@ -251,23 +266,29 @@ Status ProtocolEndpoint::handle_cdr(const Bytes& wire) {
     if (window_.admits(peer_claim) &&
         config_.role == PartyRole::EdgeVendor &&
         strategy_.accept(make_context(), own_claim_, peer_claim)) {
-      emit_cda(wire);
+      emit_cda(wire, peer_claim);
     } else {
       reclaim(peer_claim);
     }
     return Status::Ok();
   }
 
-  if (round < current_round_) {
+  if (seq < current) {
     return Err("cdr: stale round (replay?)");  // drop silently
   }
 
+  if (state_ == EndpointState::SentCda) {
+    // The peer answers my CDA with a new claim: it rejected the round I
+    // accepted, and my window stays as it was.
+    note_rejection(window_, own_claim_, accepted_claim_);
+  }
+
   // A new round opened by the peer: form my claim and decide.
-  current_round_ = round;
-  if (current_round_ >= config_.max_rounds) {
+  if (seq >= static_cast<std::uint64_t>(config_.max_rounds)) {
     fail("round cap reached");
     return Err("round cap reached");
   }
+  current_round_ = static_cast<int>(seq);
   if (!window_.admits(peer_claim)) {
     reclaim(peer_claim);  // implicit reject; do not honor the violating claim
     return Status::Ok();
@@ -277,14 +298,16 @@ Status ProtocolEndpoint::handle_cdr(const Bytes& wire) {
   const std::uint64_t my_claim = strategy_.claim(ctx);
   if (!strategy_.accept(ctx, my_claim, peer_claim)) {
     // Publish my same-round claim as the implicit rejection.
+    const ClaimWindow opened = window_;
     window_.contract(my_claim, peer_claim);
+    note_rejection(opened, my_claim, peer_claim);
     emit_cdr(my_claim);
     return Status::Ok();
   }
   // Accept: answer with a CDA echoing the peer's signed CDR.
   own_claim_ = my_claim;
   ++claims_made_;
-  emit_cda(wire);
+  emit_cda(wire, peer_claim);
   return Status::Ok();
 }
 
@@ -295,7 +318,7 @@ Status ProtocolEndpoint::handle_cda(const Bytes& wire) {
   }
   auto cda = open<SignedCda>(wire);
   if (!cda) return Err(cda.error());
-  if (static_cast<int>(cda->body.seq) != current_round_) {
+  if (cda->body.seq != static_cast<std::uint64_t>(current_round_)) {
     // Stale acceptance of an earlier round's CDR — happens legitimately
     // when both parties initiated and messages crossed; drop it.
     return Err("cda: round mismatch (stale or replay)");
@@ -353,6 +376,19 @@ Status ProtocolEndpoint::handle_poc(const Bytes& wire) {
   auto inner_cdr = decode_signed_cdr(inner_cda->body.peer_cdr_wire);
   if (!inner_cdr) {
     return reject_tamper(inner_cdr.error());
+  }
+  // The PoC's seq and clear-text nonces are what verify_poc checks
+  // against the signed layers; the nonces sit outside the signature.
+  // A PoC that would fail there must not finish the cycle.
+  if (poc->body.seq != inner_cda->body.seq + 1) {
+    return reject_tamper("poc: sequence number does not follow the CDA's");
+  }
+  const bool edge = config_.role == PartyRole::EdgeVendor;
+  const std::uint64_t own_nonce = inner_cda->body.nonce;
+  const std::uint64_t peer_nonce = inner_cdr->body.nonce;
+  if (poc->nonce_edge != (edge ? own_nonce : peer_nonce) ||
+      poc->nonce_operator != (edge ? peer_nonce : own_nonce)) {
+    return reject_tamper("poc: clear-text nonces differ from the signed ones");
   }
   const std::uint64_t expected = charging::charged_volume(
       inner_cda->body.volume, inner_cdr->body.volume, config_.plan.c);

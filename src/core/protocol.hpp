@@ -17,6 +17,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "core/messages.hpp"
 #include "core/negotiation.hpp"
@@ -96,6 +97,11 @@ class ProtocolEndpoint {
   /// Exact duplicates of already-processed messages, ignored without
   /// advancing the state machine (idempotent receive).
   [[nodiscard]] int duplicates_ignored() const { return duplicates_ignored_; }
+  /// True when this party's strategy is stationary and its latest
+  /// rejected round repeated the one before it: the same own and peer
+  /// claims, and a window the round left unchanged. Once both parties
+  /// report it, every later round repeats too, up to the round cap.
+  [[nodiscard]] bool stalled() const { return stalled_; }
   /// Reason recorded by the transition to Failed (empty otherwise).
   [[nodiscard]] const std::string& failure_reason() const {
     return failure_reason_;
@@ -124,11 +130,16 @@ class ProtocolEndpoint {
   /// a compliant one contracts it with my own claim (line 12). Either
   /// way the next round opens with a fresh claim.
   void reclaim(std::uint64_t peer_claim);
+  /// The stall test, run on every rejected round, whichever party
+  /// rejected it: `opened` is the window the round began with,
+  /// `own`/`peer` the round's claims.
+  void note_rejection(const ClaimWindow& opened, std::uint64_t own,
+                      std::uint64_t peer);
   /// Signs and sends a CDR claiming `claim` in the current round.
   void emit_cdr(std::uint64_t claim);
-  /// Signs and sends a CDA accepting the peer CDR `peer_cdr_wire` with
-  /// my standing claim.
-  void emit_cda(const Bytes& peer_cdr_wire);
+  /// Signs and sends a CDA accepting the peer CDR `peer_cdr_wire`, which
+  /// claims `peer_claim`, with my standing claim.
+  void emit_cda(const Bytes& peer_cdr_wire, std::uint64_t peer_claim);
   /// Decodes a peer message and checks its sender role, signature and
   /// data plan; a message that fails is rejected as tampered.
   template <typename Signed>
@@ -159,10 +170,15 @@ class ProtocolEndpoint {
   int current_round_ = 0;  // seq carries the round number on the wire
   std::uint64_t own_claim_ = 0;
   std::uint64_t own_nonce_ = 0;
+  std::uint64_t accepted_claim_ = 0;  // the peer claim my last CDA accepted
   Bytes last_sent_cdr_wire_;
   Bytes last_sent_cda_wire_;
   std::uint64_t negotiated_ = 0;
   std::optional<SignedPoc> poc_;
+
+  /// The latest rejected round's (own, peer) claims, for the stall test.
+  std::optional<std::pair<std::uint64_t, std::uint64_t>> rejected_claims_;
+  bool stalled_ = false;
 
   int claims_made_ = 0;
   int bound_violations_ = 0;

@@ -55,6 +55,12 @@ class Strategy {
                                     std::uint64_t opponent_claim) = 0;
 
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// True when claim() and accept() ignore ctx.round and draw no
+  /// randomness: the same window, view and claims always get the same
+  /// answers. A negotiation between two stationary parties that repeats
+  /// a rejected round repeats it up to the round cap (negotiation.hpp).
+  [[nodiscard]] virtual bool stationary() const { return false; }
 };
 
 /// Cross-check tolerance: measurements of the same quantity by the two
@@ -68,6 +74,7 @@ class HonestStrategy final : public Strategy {
   [[nodiscard]] bool accept(const RoundContext& ctx, std::uint64_t own_claim,
                             std::uint64_t opponent_claim) override;
   [[nodiscard]] std::string name() const override { return "honest"; }
+  [[nodiscard]] bool stationary() const override { return true; }
 };
 
 class OptimalStrategy final : public Strategy {
@@ -76,6 +83,7 @@ class OptimalStrategy final : public Strategy {
   [[nodiscard]] bool accept(const RoundContext& ctx, std::uint64_t own_claim,
                             std::uint64_t opponent_claim) override;
   [[nodiscard]] std::string name() const override { return "tlc-optimal"; }
+  [[nodiscard]] bool stationary() const override { return true; }
 };
 
 class RandomSelfishStrategy final : public Strategy {
@@ -100,6 +108,7 @@ class RejectAllStrategy final : public Strategy {
   [[nodiscard]] bool accept(const RoundContext& ctx, std::uint64_t own_claim,
                             std::uint64_t opponent_claim) override;
   [[nodiscard]] std::string name() const override { return "reject-all"; }
+  [[nodiscard]] bool stationary() const override { return true; }
 };
 
 class GreedyOverclaimStrategy final : public Strategy {
@@ -112,6 +121,7 @@ class GreedyOverclaimStrategy final : public Strategy {
   [[nodiscard]] bool accept(const RoundContext& ctx, std::uint64_t own_claim,
                             std::uint64_t opponent_claim) override;
   [[nodiscard]] std::string name() const override { return "greedy-overclaim"; }
+  [[nodiscard]] bool stationary() const override { return true; }
 
  private:
   double factor_;

@@ -100,6 +100,11 @@ class TlcSession {
   [[nodiscard]] int duplicates_ignored() const {
     return endpoint_ ? endpoint_->duplicates_ignored() : 0;
   }
+  /// Whether the in-flight negotiation is stuck at Algorithm 1's fixed
+  /// point (ProtocolEndpoint::stalled; false when none is running).
+  [[nodiscard]] bool stalled() const {
+    return endpoint_ && endpoint_->stalled();
+  }
   [[nodiscard]] std::string failure_reason() const {
     return endpoint_ ? endpoint_->failure_reason() : std::string{};
   }

@@ -11,7 +11,10 @@
 // a payload that is not the group's drops the whole group a rung.
 // Stop-and-wait (§8) sends every message through a FaultyChannel under
 // the retry shim and degrades a cycle that cannot converge to the
-// legacy CDR bill; the UE's next cycle proceeds.
+// legacy CDR bill; the UE's next cycle proceeds. It runs a stuck
+// negotiation to the round cap rather than stopping at the fixed point
+// as the in-process pump does: faults are indexed by message, so
+// skipped messages would shift the UE's later faults.
 //
 // Zero-fault contract: every rung matches the in-process receipts
 // through each UE's first failed cycle, which fails on every rung

@@ -6,6 +6,7 @@
 #include <deque>
 
 #include "charging/plan.hpp"
+#include "core/verifier.hpp"
 #include "util/rng.hpp"
 
 namespace tlc::core {
@@ -207,6 +208,117 @@ TEST(ProtocolTest, CdaEchoMismatchDetected) {
       encode_signed_cda(sign_cda(cda, edge_keys().private_key));
   EXPECT_FALSE(op.receive(wire).ok());
   EXPECT_TRUE(op.failed());
+}
+
+TEST(ProtocolTest, CdaSeqTwoToThe32IsNotRoundZero) {
+  // The peer signs a u64 seq. Narrowed to int, 2^32 passed for round 0:
+  // the operator finished on a PoC that verify_poc rejects ("se != so").
+  OptimalStrategy op_strategy;
+  const UsageView view{1000, 900};
+  ProtocolEndpoint op(make_config(PartyRole::Operator, view), op_strategy,
+                      Rng(60));
+  Bytes sent;
+  op.set_send([&](const Bytes& m) { sent = m; });
+  op.start();
+  const Bytes op_cdr = sent;
+
+  CdaMessage cda;
+  cda.plan = test_plan();
+  cda.sender = PartyRole::EdgeVendor;
+  cda.seq = std::uint64_t{1} << 32;
+  cda.nonce = 7;
+  cda.volume = 950;
+  cda.peer_cdr_wire = op_cdr;
+  EXPECT_FALSE(
+      op.receive(encode_signed_cda(sign_cda(cda, edge_keys().private_key)))
+          .ok());
+  EXPECT_FALSE(op.done());
+  EXPECT_EQ(op.state(), EndpointState::SentCdr);
+
+  // The same acceptance in round 0 settles on a PoC that verifies.
+  cda.seq = 0;
+  ASSERT_TRUE(
+      op.receive(encode_signed_cda(sign_cda(cda, edge_keys().private_key)))
+          .ok());
+  ASSERT_TRUE(op.done());
+  EXPECT_TRUE(verify_poc({sent, test_plan(), edge_keys().public_key,
+                          operator_keys().public_key}));
+}
+
+TEST(ProtocolTest, CdrSeqTwoToThe32IsBeyondTheRoundCap) {
+  OptimalStrategy edge_strategy;
+  ProtocolEndpoint edge(make_config(PartyRole::EdgeVendor, {1000, 900}),
+                        edge_strategy, Rng(61));
+  int sent = 0;
+  edge.set_send([&](const Bytes&) { ++sent; });
+  CdrMessage cdr;
+  cdr.plan = test_plan();
+  cdr.sender = PartyRole::Operator;
+  cdr.seq = std::uint64_t{1} << 32;
+  cdr.nonce = 9;
+  cdr.volume = 1000;
+  const Bytes wire =
+      encode_signed_cdr(sign_cdr(cdr, operator_keys().private_key));
+  EXPECT_FALSE(edge.receive(wire).ok());
+  EXPECT_TRUE(edge.failed());
+  EXPECT_EQ(edge.failure_reason(), "round cap reached");
+  EXPECT_EQ(sent, 0);
+}
+
+TEST(ProtocolTest, PocWithWrongSeqOrNoncesIsTamper) {
+  // The PoC's seq and clear-text nonces are what an outside verifier
+  // checks against the signed layers, and the nonces are not signed. An
+  // edge that took a PoC without checking them reached Done on one
+  // verify_poc rejects.
+  struct Forged {
+    std::uint64_t seq_offset;  // added to the CDA's seq + 1
+    bool swap_nonces;
+  };
+  for (const Forged forged : {Forged{0, false}, Forged{98, false},
+                              Forged{0, true}}) {
+    SCOPED_TRACE(forged.seq_offset + (forged.swap_nonces ? 1000 : 0));
+    OptimalStrategy edge_strategy;
+    ProtocolEndpoint edge(make_config(PartyRole::EdgeVendor, {1000, 900}),
+                          edge_strategy, Rng(62));
+    Bytes edge_cda;
+    edge.set_send([&](const Bytes& m) { edge_cda = m; });
+    CdrMessage cdr;
+    cdr.plan = test_plan();
+    cdr.sender = PartyRole::Operator;
+    cdr.seq = 0;
+    cdr.nonce = 0x0e;
+    cdr.volume = 1000;
+    ASSERT_TRUE(
+        edge.receive(
+                encode_signed_cdr(sign_cdr(cdr, operator_keys().private_key)))
+            .ok());
+    ASSERT_EQ(edge.state(), EndpointState::SentCda);
+    const auto cda = decode_signed_cda(edge_cda);
+    ASSERT_TRUE(cda);
+
+    PocMessage poc;
+    poc.plan = test_plan();
+    poc.sender = PartyRole::Operator;
+    poc.seq = cda->body.seq + 1 + forged.seq_offset;
+    poc.charged = charging::charged_volume(cda->body.volume, cdr.volume,
+                                           test_plan().c);
+    poc.cda_wire = edge_cda;
+    const std::uint64_t nonce_edge = cda->body.nonce;
+    const std::uint64_t nonce_operator = cdr.nonce;
+    const Bytes poc_wire = encode_signed_poc(sign_poc(
+        poc, operator_keys().private_key,
+        forged.swap_nonces ? nonce_operator : nonce_edge,
+        forged.swap_nonces ? nonce_edge : nonce_operator));
+    const bool genuine = forged.seq_offset == 0 && !forged.swap_nonces;
+    EXPECT_EQ(edge.receive(poc_wire).ok(), genuine);
+    EXPECT_EQ(edge.done(), genuine);
+    EXPECT_EQ(edge.failed(), !genuine);
+    EXPECT_EQ(edge.tamper_suspected(), genuine ? 0 : 1);
+    EXPECT_EQ(static_cast<bool>(verify_poc({poc_wire, test_plan(),
+                                            edge_keys().public_key,
+                                            operator_keys().public_key})),
+              genuine);
+  }
 }
 
 TEST(ProtocolTest, GarbageInputFailsCleanly) {
