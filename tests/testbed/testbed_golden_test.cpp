@@ -104,6 +104,13 @@ TEST(TestbedGoldenTest, DownlinkWebcamWithBackground) {
             "5fdf3cc2b15bb374b8c33a72319bd40ac40ee6caa7f9d0ccd46be20e98626053");
 }
 
+TEST(TestbedGoldenTest, UplinkWebcamWithBackground) {
+  ScenarioConfig config = short_cycles(AppKind::WebcamUdp, 38);
+  config.background_mbps = 20.0;
+  EXPECT_EQ(run_digest(config),
+            "b2b01b87c999b49b850cee3127d8d324eb040f0fe4ddbfc33780fe1ffec00556");
+}
+
 TEST(TestbedGoldenTest, VrWithoutCounterCheckAndTamperedTrafficStats) {
   ScenarioConfig config = short_cycles(AppKind::VrGvsp, 33);
   config.enable_counter_check = false;
