@@ -42,6 +42,9 @@ struct AdversaryMix {
   }
 };
 
+/// Mean RSS of a weak-signal fleet member (cell edge, Fig 12).
+inline constexpr double kWeakSignalRssDbm = -102.0;
+
 struct FleetConfig {
   /// Shared knobs every member inherits (cycle structure, cell
   /// parameters, plan, clock discipline, background congestion per
@@ -70,10 +73,10 @@ struct FleetConfig {
       testbed::AppKind::WebcamRtsp, testbed::AppKind::WebcamUdp,
       testbed::AppKind::VrGvsp, testbed::AppKind::GamingQci7};
 
-  /// Population heterogeneity: fraction of UEs in weak signal, and
-  /// fraction with intermittent connectivity (Figs 12-14 conditions).
+  /// Population heterogeneity: fraction of UEs in weak signal (at
+  /// `kWeakSignalRssDbm`), and fraction with intermittent connectivity
+  /// (Figs 12-14 conditions).
   double weak_signal_fraction = 0.25;
-  double weak_signal_rss_dbm = -102.0;
   double intermittent_fraction = 0.25;
   double intermittent_eta = 0.10;
 

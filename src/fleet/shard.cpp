@@ -1,10 +1,8 @@
 #include "fleet/shard.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "sim/rng_stream.hpp"
-#include "workloads/background.hpp"
 
 namespace tlc::fleet {
 namespace {
@@ -45,6 +43,12 @@ SimTime run_tail(SimTime cycle_length) {
       testbed::max_boundary_offset(cycle_length) + kSecond);
 }
 
+epc::SpgwParams shard_spgw_params(const FleetConfig& config) {
+  epc::SpgwParams params;
+  params.flow_based_charging = config.adversary.flow_based_charging;
+  return params;
+}
+
 }  // namespace
 
 struct FleetShard::UeCtx {
@@ -70,69 +74,24 @@ epc::Imsi FleetShard::fleet_imsi(std::uint64_t ue_index) {
 
 FleetShard::FleetShard(const FleetConfig& config, int shard_index,
                        std::uint64_t first_ue, std::size_t ue_count)
-    : config_(config), shard_index_(shard_index) {
-  enodeb_ = std::make_unique<epc::EnodeB>(
-      sim_, config_.base.enodeb,
-      sim::stream_rng(shard_seed(), kEnodebStream));
-  mme_ = std::make_unique<epc::Mme>(sim_, hss_);
-  epc::SpgwParams spgw_params;
-  spgw_params.flow_based_charging = config_.adversary.flow_based_charging;
-  spgw_ = std::make_unique<epc::Spgw>(sim_, *enodeb_, spgw_params);
-  server_ = std::make_unique<testbed::EdgeServer>(sim_, *spgw_);
-  spgw_->set_server_sink([this](epc::Imsi imsi, const sim::Packet& packet) {
-    server_->deliver_uplink(imsi, packet);
-  });
-
-  // Operator's tamper-resilient monitor feed (§5.4), dispatched per
-  // member.
-  if (config_.base.enable_counter_check) {
-    enodeb_->set_counter_check_handler(
-        [this](epc::Imsi imsi, std::uint64_t ul, std::uint64_t dl,
-               SimTime at) {
-          auto it = by_imsi_.find(imsi);
-          if (it == by_imsi_.end()) return;
-          it->second->meters->on_counter_check(ul, dl, at);
-        });
-  }
-
-  // EMM attach handling for the whole population.
-  mme_->set_state_change_handler([this](epc::Imsi imsi, bool attached) {
-    epc::UeDevice* device = nullptr;
-    sim::RadioChannel* radio = nullptr;
-    if (auto it = by_imsi_.find(imsi); it != by_imsi_.end()) {
-      device = it->second->device.get();
-      radio = it->second->radio.get();
-    } else if (bg_ue_ && imsi == bg_ue_->imsi()) {
-      device = bg_ue_.get();
-      radio = bg_radio_.get();
-    }
-    if (device == nullptr) return;
-    if (attached) {
-      spgw_->create_session(imsi);
-      enodeb_->add_ue(imsi, device, radio);
-      device->set_attached(true);
-    } else {
-      spgw_->close_session(imsi);
-      enodeb_->remove_ue(imsi);
-      device->set_attached(false);
-    }
-  });
-
+    : config_(config),
+      shard_index_(shard_index),
+      cell_(sim_, config_.base, sim::stream_rng(shard_seed(), kEnodebStream),
+            shard_spgw_params(config_)) {
   for (std::size_t i = 0; i < ue_count; ++i) {
     build_ue(first_ue + i, kUeStreamBase + 2 * i);
   }
-  build_background();
-
-  // Initial attach: population order, then the background phone.
-  for (const auto& ue : ues_) {
-    const bool ok = mme_->register_ue(ue->record.imsi, ue->radio.get());
-    assert(ok);
-    (void)ok;
-  }
-  if (bg_ue_) {
-    const bool ok = mme_->register_ue(bg_ue_->imsi(), bg_radio_.get());
-    assert(ok);
-    (void)ok;
+  // Background phone (one per shard cell, like the paper's testbed),
+  // only when it carries traffic. Its stream forks the radio, the
+  // device, then the source.
+  if (config_.base.background_mbps > 0.0) {
+    Rng bg_rng = sim::stream_rng(shard_seed(), kBackgroundStream);
+    const Rng radio_rng = bg_rng.fork();
+    const Rng device_rng = bg_rng.fork();
+    cell_.add_background(
+        epc::Imsi{kShardBackgroundImsiBase +
+                  static_cast<std::uint64_t>(shard_index_)},
+        kBackgroundFlow, radio_rng, device_rng, bg_rng);
   }
 }
 
@@ -159,7 +118,7 @@ void FleetShard::build_ue(std::uint64_t ue_index,
                    : config_.app_mix[static_cast<std::size_t>(
                          profile_rng.uniform_u64(config_.app_mix.size()))];
   member.mean_rss_dbm = profile_rng.chance(config_.weak_signal_fraction)
-                            ? config_.weak_signal_rss_dbm
+                            ? kWeakSignalRssDbm
                             : config_.base.mean_rss_dbm;
   member.disconnect_ratio =
       profile_rng.chance(config_.intermittent_fraction)
@@ -180,20 +139,18 @@ void FleetShard::build_ue(std::uint64_t ue_index,
   ue.radio = std::make_unique<sim::RadioChannel>(radio_params, ue.rng.fork());
   ue.device = std::make_unique<epc::UeDevice>(
       sim_, ue.record.imsi, ue.scenario.device, ue.radio.get(),
-      enodeb_.get(), ue.rng.fork());
+      &cell_.enodeb(), ue.rng.fork());
   ue.device->set_traffic_stats_tamper(ue.scenario.edge_trafficstats_tamper);
 
-  hss_.provision(epc::SubscriberProfile{ue.record.imsi, "fleet-member",
-                                        ue.scenario.device});
-  pcrf_.install_rule(ue.flow_id, testbed::app_qci(member.app));
   // Flow-identity binding (§13): the gateway knows which IMSI owns each
   // member flow, which is what lets it spot free-riders replaying one.
-  spgw_->bind_flow(ue.flow_id, ue.record.imsi);
+  epc::Spgw& spgw = cell_.spgw();
+  spgw.bind_flow(ue.flow_id, ue.record.imsi);
 
   // Workload source, then (after the overlay, which draws from its own
   // stream) the meters: the fork order Testbed uses for its app UE.
   ue.source = testbed::make_app_source(sim_, ue.scenario, ue.flow_id,
-                                       *ue.device, *server_, ue.rng);
+                                       *ue.device, cell_.server(), ue.rng);
 
   // §13 byzantine overlay. Role and generator randomness come from a
   // dedicated stream under the member's seed, guarded by enabled(): a
@@ -218,10 +175,10 @@ void FleetShard::build_ue(std::uint64_t ue_index,
               kFlowBase + static_cast<std::uint32_t>(idx == 0 ? 0 : idx - 1);
           break;
         case workloads::AdversaryKind::kZeroRatedAbuse:
-          spgw_->set_zero_rated(overlay_flow);
+          spgw.set_zero_rated(overlay_flow);
           break;
         default:
-          spgw_->bind_flow(overlay_flow, ue.record.imsi);
+          spgw.bind_flow(overlay_flow, ue.record.imsi);
           break;
       }
       // Every overlay is uplink: it leaves through the device's bearer
@@ -236,47 +193,11 @@ void FleetShard::build_ue(std::uint64_t ue_index,
   }
 
   ue.meters = std::make_unique<testbed::UeMeters>(
-      sim_, ue.scenario, *ue.device, *server_, *spgw_, *enodeb_, ue.rng,
-      /*meter_uncharged=*/config_.adversary.enabled());
+      sim_, ue.scenario, *ue.device, cell_.server(), spgw, cell_.enodeb(),
+      ue.rng, /*meter_uncharged=*/config_.adversary.enabled());
 
-  by_imsi_.emplace(ue.record.imsi, &ue);
+  cell_.add_ue("fleet-member", *ue.device, *ue.radio, ue.meters.get());
   ues_.push_back(std::move(owned));
-}
-
-void FleetShard::build_background() {
-  if (config_.base.background_mbps <= 0.0) return;
-  const epc::Imsi bg_imsi{kShardBackgroundImsiBase +
-                          static_cast<std::uint64_t>(shard_index_)};
-  Rng bg_rng = sim::stream_rng(shard_seed(), kBackgroundStream);
-
-  sim::RadioParams bg_radio_params;
-  bg_radio_params.mean_rss_dbm = -70.0;  // strong signal, never drops
-  bg_radio_ =
-      std::make_unique<sim::RadioChannel>(bg_radio_params, bg_rng.fork());
-  bg_ue_ = std::make_unique<epc::UeDevice>(sim_, bg_imsi,
-                                           epc::device_s7edge(),
-                                           bg_radio_.get(), enodeb_.get(),
-                                           bg_rng.fork());
-  hss_.provision(
-      epc::SubscriberProfile{bg_imsi, "background-phone", epc::device_s7edge()});
-  pcrf_.install_rule(kBackgroundFlow, sim::Qci::kQci9);
-
-  // Background congestion runs in the population's dominant direction;
-  // with a mixed app population the downlink (where most fleet traffic
-  // lives) is the congested side, matching the paper's iperf setup.
-  const sim::Direction direction = testbed::app_direction(config_.base.app);
-  workloads::TrafficSource::EmitFn sink;
-  if (direction == sim::Direction::Uplink) {
-    sink = [this](const sim::Packet& p) { bg_ue_->app_send(p); };
-  } else {
-    sink = [this, bg_imsi](const sim::Packet& p) {
-      spgw_->downlink_submit(bg_imsi, p);
-    };
-  }
-  workloads::BackgroundParams bg_params;
-  bg_params.rate_mbps = config_.base.background_mbps;
-  bg_source_ = std::make_unique<workloads::BackgroundUdpSource>(
-      sim_, sink, kBackgroundFlow, direction, bg_params, bg_rng.fork());
 }
 
 const std::vector<UeRecord>& FleetShard::run() {
@@ -284,12 +205,12 @@ const std::vector<UeRecord>& FleetShard::run() {
   ran_ = true;
 
   for (auto& ue : ues_) ue->meters->schedule_boundaries();
-  mme_->start();
+  cell_.mme().start();
   for (auto& ue : ues_) {
     ue->source->start(0);
     if (ue->adversary_source) ue->adversary_source->start(0);
   }
-  if (bg_source_) bg_source_->start(0);
+  cell_.start_background();
 
   const SimTime horizon =
       static_cast<SimTime>(config_.base.cycles) * config_.base.cycle_length +
@@ -300,14 +221,14 @@ const std::vector<UeRecord>& FleetShard::run() {
     ue->source->stop();
     if (ue->adversary_source) ue->adversary_source->stop();
   }
-  if (bg_source_) bg_source_->stop();
+  cell_.stop_background();
 
   records_.reserve(ues_.size());
   for (auto& owned : ues_) {
     UeCtx& ue = *owned;
     ue.record.cycles = ue.meters->cycles();
     ue.record.uncharged_per_cycle = ue.meters->uncharged_per_cycle();
-    ue.record.anomaly = spgw_->anomaly(ue.record.imsi);
+    ue.record.anomaly = cell_.spgw().anomaly(ue.record.imsi);
 
     // Scheme evaluation rides the member's own seed stream, so the
     // outcome is independent of shard/thread scheduling by design.

@@ -1,8 +1,8 @@
 // One fleet shard: a self-contained multi-UE testbed world.
 //
 // The single-UE `testbed::Testbed` lifted to a population: one
-// discrete-event simulator hosting one small cell + EPC function set
-// (eNodeB, MME, HSS, PCRF, SPGW, edge server) serving N app UEs — each
+// discrete-event simulator hosting one `testbed::Cell` (eNodeB, MME,
+// HSS, SPGW, edge server) serving N app UEs — each
 // with its own radio channel, workload source drawn from the shard's
 // RNG stream, RRC counter monitors and per-party cycle samplers — plus
 // an optional background UE congesting the cell. UEs genuinely contend
@@ -20,18 +20,13 @@
 #include <vector>
 
 #include "epc/enodeb.hpp"
-#include "epc/hss.hpp"
-#include "epc/mme.hpp"
-#include "epc/pcrf.hpp"
 #include "epc/spgw.hpp"
-#include "epc/ue.hpp"
 #include "fleet/fleet_config.hpp"
-#include "sim/radio.hpp"
 #include "sim/simulator.hpp"
-#include "testbed/edge_server.hpp"
+#include "testbed/cell.hpp"
 #include "testbed/experiment.hpp"
 #include "testbed/testbed.hpp"
-#include "workloads/source.hpp"
+#include "workloads/adversarial.hpp"
 
 namespace tlc::fleet {
 
@@ -70,7 +65,7 @@ class FleetShard {
 
   [[nodiscard]] int shard_index() const { return shard_index_; }
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] epc::EnodeB& enodeb() { return *enodeb_; }
+  [[nodiscard]] epc::EnodeB& enodeb() { return cell_.enodeb(); }
   [[nodiscard]] std::size_t population() const { return ues_.size(); }
 
   /// IMSI for a global fleet index (stable across shard/thread counts).
@@ -81,26 +76,12 @@ class FleetShard {
 
   [[nodiscard]] std::uint64_t shard_seed() const;
   void build_ue(std::uint64_t ue_index, std::uint64_t member_stream);
-  void build_background();
 
   FleetConfig config_;
   int shard_index_;
   sim::Simulator sim_;
-
-  epc::Hss hss_;
-  epc::Pcrf pcrf_;
-  std::unique_ptr<epc::EnodeB> enodeb_;
-  std::unique_ptr<epc::Mme> mme_;
-  std::unique_ptr<epc::Spgw> spgw_;
-  std::unique_ptr<testbed::EdgeServer> server_;
-
+  testbed::Cell cell_;
   std::vector<std::unique_ptr<UeCtx>> ues_;
-  std::map<epc::Imsi, UeCtx*> by_imsi_;
-
-  // Background phone (one per shard cell, like the paper's testbed).
-  std::unique_ptr<sim::RadioChannel> bg_radio_;
-  std::unique_ptr<epc::UeDevice> bg_ue_;
-  std::unique_ptr<workloads::TrafficSource> bg_source_;
 
   bool ran_ = false;
   std::vector<UeRecord> records_;

@@ -20,6 +20,15 @@
 namespace tlc::fleet {
 namespace {
 
+// Incarnation budget: total process (re)starts before giving up.
+constexpr int kMaxIncarnations = 64;
+// Watchdog budget: wedge restarts of one shard within one incarnation
+// before the incarnation is declared failed.
+constexpr int kMaxShardRetries = 4;
+// OFCS checkpoint cadence: snapshot + journal rotation every N closed
+// cycles.
+constexpr int kCheckpointEveryCycles = 1;
+
 // ---------------------------------------------------------------------
 // Shard checkpoint codec: the full UeRecord vector, every field exact
 // (doubles as bits) so a reused checkpoint is indistinguishable from a
@@ -30,6 +39,16 @@ namespace {
 // counters, uncharged-per-cycle samples). Old-version checkpoints are
 // rejected, which just forces a clean re-run of that shard.
 constexpr std::uint8_t kShardRecordVersion = 2;
+
+// Smallest encodings, which cap every count-driven reserve by the bytes
+// actually left: a damaged count then fails as truncation instead of
+// sizing an allocation.
+constexpr std::size_t kCycleSize = 7 * 8;
+constexpr std::size_t kOutcomeSize = 6 * 8 + 1;
+constexpr std::size_t kMinRecordSize =
+    8 + 8 + 1 + 3 * 8 + 8 + 4 + 4 + 1 +
+    sizeof(epc::AnomalyCounters::protocol_bytes) +
+    sizeof(epc::AnomalyCounters::qci_bytes) + 7 * 8 + 4 + 4;
 
 void write_record(ByteWriter& w, const UeRecord& record) {
   w.u64(record.ue_index);
@@ -105,8 +124,10 @@ Expected<UeRecord> read_record(ByteReader& r) {
 
   auto ncycles = r.u32();
   if (!ncycles) return Err(ncycles.error());
-  record.cycles.resize(*ncycles);
-  for (testbed::CycleMeasurements& m : record.cycles) {
+  record.cycles.reserve(
+      std::min<std::size_t>(*ncycles, r.remaining() / kCycleSize));
+  for (std::uint32_t c = 0; c < *ncycles; ++c) {
+    testbed::CycleMeasurements& m = record.cycles.emplace_back();
     for (std::uint64_t* field :
          {&m.true_sent, &m.true_received, &m.edge_sent, &m.edge_received,
           &m.op_sent, &m.op_received, &m.gateway_volume}) {
@@ -123,8 +144,11 @@ Expected<UeRecord> read_record(ByteReader& r) {
     if (!scheme) return Err(scheme.error());
     auto count = r.u32();
     if (!count) return Err(count.error());
-    std::vector<testbed::CycleOutcome> outcomes(*count);
-    for (testbed::CycleOutcome& o : outcomes) {
+    std::vector<testbed::CycleOutcome> outcomes;
+    outcomes.reserve(
+        std::min<std::size_t>(*count, r.remaining() / kOutcomeSize));
+    for (std::uint32_t i = 0; i < *count; ++i) {
+      testbed::CycleOutcome& o = outcomes.emplace_back();
       auto expected = r.u64();
       if (!expected) return Err(expected.error());
       o.expected = *expected;
@@ -174,11 +198,12 @@ Expected<UeRecord> read_record(ByteReader& r) {
   a.flags = *flags;
   auto nuncharged = r.u32();
   if (!nuncharged) return Err(nuncharged.error());
-  record.uncharged_per_cycle.resize(*nuncharged);
-  for (std::uint64_t& v : record.uncharged_per_cycle) {
+  record.uncharged_per_cycle.reserve(
+      std::min<std::size_t>(*nuncharged, r.remaining() / 8));
+  for (std::uint32_t i = 0; i < *nuncharged; ++i) {
     auto value = r.u64();
     if (!value) return Err(value.error());
-    v = *value;
+    record.uncharged_per_cycle.push_back(*value);
   }
   return record;
 }
@@ -203,7 +228,8 @@ Expected<std::vector<UeRecord>> decode_shard_records(const Bytes& data) {
   auto count = r.u32();
   if (!count) return Err(count.error());
   std::vector<UeRecord> records;
-  records.reserve(*count);
+  records.reserve(
+      std::min<std::size_t>(*count, r.remaining() / kMinRecordSize));
   for (std::uint32_t i = 0; i < *count; ++i) {
     auto record = read_record(r);
     if (!record) return Err(record.error());
@@ -300,7 +326,7 @@ SliceOutcome run_one_shard(const SupervisorConfig& config,
       TLC_WARN("fleet") << "shard " << slice.shard_index << " wedged at "
                         << wedge.site.point << ", restarting (attempt "
                         << (attempt + 1) << ")";
-      if (attempt + 1 >= config.max_shard_retries) {
+      if (attempt + 1 >= kMaxShardRetries) {
         out.error = Err("supervisor: shard wedged past the watchdog budget");
         return out;
       }
@@ -424,7 +450,7 @@ Status run_settle_phase(const SupervisorConfig& config,
 
 // ---------------------------------------------------------------------
 // Aggregation phase, durable flavour: the OFCS ledger runs write-ahead
-// over a StateLog and checkpoints every `checkpoint_every_cycles`.
+// over a StateLog and checkpoints every `kCheckpointEveryCycles`.
 // ---------------------------------------------------------------------
 
 Status aggregate_durably(const SupervisorConfig& config,
@@ -436,11 +462,12 @@ Status aggregate_durably(const SupervisorConfig& config,
   Status attached = ofcs.attach_recovery(&*log);
   if (!attached.ok()) return attached;
 
-  const int every = std::max(1, config.checkpoint_every_cycles);
   Status checkpoint_error = Status::Ok();
   detail::aggregate_fleet(config.fleet, ofcs, result,
-                          [&ofcs, &checkpoint_error, every](int cycle) {
-                            if ((cycle + 1) % every != 0) return;
+                          [&ofcs, &checkpoint_error](int cycle) {
+                            if ((cycle + 1) % kCheckpointEveryCycles != 0) {
+                              return;
+                            }
                             Status s = ofcs.checkpoint();
                             if (!s.ok() && checkpoint_error.ok()) {
                               checkpoint_error = s;
@@ -510,7 +537,7 @@ Expected<SupervisedResult> run_supervised_fleet(
   if (ec) return Err("supervisor: cannot create state_dir: " + ec.message());
 
   SupervisionStats stats;
-  for (int incarnation = 0; incarnation < config.max_incarnations;
+  for (int incarnation = 0; incarnation < kMaxIncarnations;
        ++incarnation) {
     ++stats.incarnations;
     if (config.plan != nullptr) config.plan->begin_incarnation();

@@ -47,16 +47,8 @@ struct SupervisorConfig {
   /// Crash injection; nullptr = run with recovery machinery but no
   /// injected faults.
   recovery::CrashPlan* plan = nullptr;
-  /// Incarnation budget: total process (re)starts before giving up.
-  int max_incarnations = 64;
-  /// Watchdog budget: wedge restarts of one shard within one
-  /// incarnation before the incarnation is declared failed.
-  int max_shard_retries = 4;
   /// Whole-UE groups per settlement journal chunk.
   std::size_t settle_chunk_ues = 4;
-  /// OFCS checkpoint cadence: snapshot + journal rotation every N
-  /// closed cycles.
-  int checkpoint_every_cycles = 1;
 };
 
 /// What the supervision cost: every counter accumulates across

@@ -1,16 +1,12 @@
 #include "testbed/testbed.hpp"
 
-#include <cassert>
-
-#include "workloads/background.hpp"
-
 namespace tlc::testbed {
 
 Testbed::Testbed(ScenarioConfig config)
     : config_(std::move(config)), rng_(config_.seed) {
-  // Radio channels: the app device per the scenario, the background
-  // phone in strong signal with no outages (it only exists to congest
-  // the cell).
+  // Fork order: app radio, background radio, eNodeB, app UE, background
+  // phone, app source, background source (above 0 Mbps), then the app
+  // UE's meters.
   sim::RadioParams app_radio_params;
   app_radio_params.mean_rss_dbm = config_.mean_rss_dbm;
   app_radio_params.disconnect_ratio = config_.disconnect_ratio;
@@ -18,98 +14,26 @@ Testbed::Testbed(ScenarioConfig config)
   app_radio_params.mobility = config_.mobility;
   app_radio_ = std::make_unique<sim::RadioChannel>(app_radio_params,
                                                    rng_.fork());
-  sim::RadioParams bg_radio_params;
-  bg_radio_params.mean_rss_dbm = -70.0;
-  bg_radio_ = std::make_unique<sim::RadioChannel>(bg_radio_params, rng_.fork());
-
-  enodeb_ = std::make_unique<epc::EnodeB>(sim_, config_.enodeb,
-                                          rng_.fork());
-  mme_ = std::make_unique<epc::Mme>(sim_, hss_);
-  spgw_ = std::make_unique<epc::Spgw>(sim_, *enodeb_);
-  server_ = std::make_unique<EdgeServer>(sim_, *spgw_);
-  spgw_->set_server_sink([this](epc::Imsi imsi, const sim::Packet& packet) {
-    server_->deliver_uplink(imsi, packet);
-  });
+  const Rng bg_radio_rng = rng_.fork();
+  cell_ = std::make_unique<Cell>(sim_, config_, rng_.fork());
 
   app_ue_ = std::make_unique<epc::UeDevice>(sim_, kAppImsi, config_.device,
-                                            app_radio_.get(), enodeb_.get(),
-                                            rng_.fork());
+                                            app_radio_.get(),
+                                            &cell_->enodeb(), rng_.fork());
   app_ue_->set_traffic_stats_tamper(config_.edge_trafficstats_tamper);
-  bg_ue_ = std::make_unique<epc::UeDevice>(sim_, kBackgroundImsi,
-                                           epc::device_s7edge(),
-                                           bg_radio_.get(), enodeb_.get(),
-                                           rng_.fork());
   app_ue_->set_app_receive_handler(
       [this](const sim::Packet& packet) { on_app_receive(packet); });
+  const Rng bg_device_rng = rng_.fork();
 
-  // Subscriber provisioning + QoS rules.
-  hss_.provision(epc::SubscriberProfile{kAppImsi, "edge-app-device",
-                                        config_.device});
-  hss_.provision(epc::SubscriberProfile{kBackgroundImsi, "background-phone",
-                                        epc::device_s7edge()});
-  pcrf_.install_rule(kAppFlow, app_qci(config_.app));
-  pcrf_.install_rule(kBackgroundFlow, sim::Qci::kQci9);
-
-  // Operator's tamper-resilient monitor feed (§5.4).
-  if (config_.enable_counter_check) {
-    enodeb_->set_counter_check_handler(
-        [this](epc::Imsi imsi, std::uint64_t ul, std::uint64_t dl,
-               SimTime at) {
-          if (imsi == kAppImsi) meters_->on_counter_check(ul, dl, at);
-        });
-  }
-
-  wire_attach_handling();
-  // Fork order: app source, background source, then the app UE's
-  // meters.
-  app_source_ = make_app_source(sim_, config_, kAppFlow, *app_ue_, *server_,
-                                rng_);
-  build_background_source();
-  meters_ = std::make_unique<UeMeters>(sim_, config_, *app_ue_, *server_,
-                                       *spgw_, *enodeb_, rng_);
-}
-
-void Testbed::wire_attach_handling() {
-  mme_->set_state_change_handler([this](epc::Imsi imsi, bool attached) {
-    epc::UeDevice* ue = imsi == kAppImsi ? app_ue_.get() : bg_ue_.get();
-    sim::RadioChannel* radio =
-        imsi == kAppImsi ? app_radio_.get() : bg_radio_.get();
-    if (attached) {
-      spgw_->create_session(imsi);
-      enodeb_->add_ue(imsi, ue, radio);
-      ue->set_attached(true);
-    } else {
-      spgw_->close_session(imsi);
-      enodeb_->remove_ue(imsi);
-      ue->set_attached(false);
-    }
-  });
-  const bool app_ok = mme_->register_ue(kAppImsi, app_radio_.get());
-  const bool bg_ok = mme_->register_ue(kBackgroundImsi, bg_radio_.get());
-  assert(app_ok && bg_ok);
-  (void)app_ok;
-  (void)bg_ok;
-}
-
-void Testbed::build_background_source() {
-  const sim::Direction direction = app_direction(config_.app);
-  if (config_.background_mbps > 0.0) {
-    workloads::TrafficSource::EmitFn bg_sink;
-    if (direction == sim::Direction::Uplink) {
-      bg_sink = [this](const sim::Packet& p) { bg_ue_->app_send(p); };
-    } else {
-      // Background downlink arrives from the Internet side of the
-      // gateway, not from the edge server (it must not touch the edge
-      // vendor's netstat counters).
-      bg_sink = [this](const sim::Packet& p) {
-        spgw_->downlink_submit(kBackgroundImsi, p);
-      };
-    }
-    workloads::BackgroundParams bg_params;
-    bg_params.rate_mbps = config_.background_mbps;
-    bg_source_ = std::make_unique<workloads::BackgroundUdpSource>(
-        sim_, bg_sink, kBackgroundFlow, direction, bg_params, rng_.fork());
-  }
+  app_source_ = make_app_source(sim_, config_, kAppFlow, *app_ue_,
+                                cell_->server(), rng_);
+  // The phone is built even at 0 Mbps, as an idle attached subscriber.
+  cell_->add_background(kBackgroundImsi, kBackgroundFlow, bg_radio_rng,
+                        bg_device_rng, rng_);
+  meters_ = std::make_unique<UeMeters>(sim_, config_, *app_ue_,
+                                       cell_->server(), cell_->spgw(),
+                                       cell_->enodeb(), rng_);
+  cell_->add_ue("edge-app-device", *app_ue_, *app_radio_, meters_.get());
 }
 
 void Testbed::on_app_receive(const sim::Packet& packet) {
@@ -125,8 +49,8 @@ void Testbed::record_timeline_point() {
                                          : app_ue_->app_rx_bytes();
   const std::uint64_t charged_bytes =
       direction == sim::Direction::Uplink
-          ? spgw_->uplink_bytes(kAppImsi)
-          : spgw_->downlink_bytes(kAppImsi);
+          ? cell_->spgw().uplink_bytes(kAppImsi)
+          : cell_->spgw().downlink_bytes(kAppImsi);
   // The "edge side" cumulative for the gap: what the edge metered.
   const std::uint64_t edge_bytes = direction == sim::Direction::Uplink
                                        ? app_ue_->app_tx_bytes()
@@ -187,9 +111,9 @@ const std::vector<CycleMeasurements>& Testbed::run() {
   ran_ = true;
 
   meters_->schedule_boundaries();
-  mme_->start();
+  cell_->mme().start();
   app_source_->start(0);
-  if (bg_source_) bg_source_->start(0);
+  cell_->start_background();
   if (timeline_enabled_) {
     sim_.schedule_after(timeline_interval_,
                         [this] { record_timeline_point(); });
@@ -205,7 +129,7 @@ const std::vector<CycleMeasurements>& Testbed::run() {
 
   // Stop sources so the simulator can quiesce if the caller keeps going.
   app_source_->stop();
-  if (bg_source_) bg_source_->stop();
+  cell_->stop_background();
 
   cycles_ = meters_->cycles();
   return cycles_;

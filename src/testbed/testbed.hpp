@@ -1,9 +1,9 @@
 // The emulated testbed of §7 / Figure 11, assembled.
 //
-// One small cell (eNodeB) + EPC function nodes (HSS, MME, PCRF, SPGW,
-// and the charging monitors that feed OFCS/TLC), an edge server
-// co-located with the core, the application device, and a second phone
-// absorbing iperf background traffic.
+// One `Cell` (eNodeB, HSS, MME, SPGW and the edge server co-located
+// with the core, plus a second phone absorbing iperf background
+// traffic), the application device, and the charging monitors that
+// feed OFCS/TLC.
 //
 // `run()` drives the configured number of charging cycles and returns,
 // per cycle, the ground-truth volumes and each party's sampled
@@ -16,11 +16,11 @@
 #include "epc/enodeb.hpp"
 #include "epc/hss.hpp"
 #include "epc/mme.hpp"
-#include "epc/pcrf.hpp"
 #include "epc/spgw.hpp"
 #include "epc/ue.hpp"
 #include "sim/radio.hpp"
 #include "sim/simulator.hpp"
+#include "testbed/cell.hpp"
 #include "testbed/edge_server.hpp"
 #include "testbed/scenario.hpp"
 #include "testbed/ue_meters.hpp"
@@ -59,13 +59,12 @@ class Testbed {
 
   // Component access for tests and examples.
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
-  [[nodiscard]] epc::EnodeB& enodeb() { return *enodeb_; }
-  [[nodiscard]] epc::Spgw& spgw() { return *spgw_; }
-  [[nodiscard]] epc::Mme& mme() { return *mme_; }
-  [[nodiscard]] epc::Hss& hss() { return hss_; }
-  [[nodiscard]] epc::Pcrf& pcrf() { return pcrf_; }
+  [[nodiscard]] epc::EnodeB& enodeb() { return cell_->enodeb(); }
+  [[nodiscard]] epc::Spgw& spgw() { return cell_->spgw(); }
+  [[nodiscard]] epc::Mme& mme() { return cell_->mme(); }
+  [[nodiscard]] epc::Hss& hss() { return cell_->hss(); }
   [[nodiscard]] epc::UeDevice& app_ue() { return *app_ue_; }
-  [[nodiscard]] EdgeServer& server() { return *server_; }
+  [[nodiscard]] EdgeServer& server() { return cell_->server(); }
   [[nodiscard]] sim::RadioChannel& app_radio() { return *app_radio_; }
   [[nodiscard]] const ScenarioConfig& config() const { return config_; }
   [[nodiscard]] epc::Imsi app_imsi() const { return kAppImsi; }
@@ -79,8 +78,6 @@ class Testbed {
   static constexpr std::uint32_t kAppFlow = 1;
   static constexpr std::uint32_t kBackgroundFlow = 2;
 
-  void wire_attach_handling();
-  void build_background_source();
   void on_app_receive(const sim::Packet& packet);
   void record_timeline_point();
   void send_ping();
@@ -90,18 +87,9 @@ class Testbed {
   sim::Simulator sim_;
 
   std::unique_ptr<sim::RadioChannel> app_radio_;
-  std::unique_ptr<sim::RadioChannel> bg_radio_;
-  std::unique_ptr<epc::EnodeB> enodeb_;
-  epc::Hss hss_;
-  epc::Pcrf pcrf_;
-  std::unique_ptr<epc::Mme> mme_;
-  std::unique_ptr<epc::Spgw> spgw_;
-  std::unique_ptr<EdgeServer> server_;
+  std::unique_ptr<Cell> cell_;
   std::unique_ptr<epc::UeDevice> app_ue_;
-  std::unique_ptr<epc::UeDevice> bg_ue_;
-
   std::unique_ptr<workloads::TrafficSource> app_source_;
-  std::unique_ptr<workloads::TrafficSource> bg_source_;
 
   std::unique_ptr<UeMeters> meters_;
 

@@ -17,6 +17,12 @@ namespace {
 constexpr std::uint32_t kCodedWireVersion = 1;
 static_assert(kCodedWireVersion >= 1);
 
+/// The first burst of a transfer is the systematic pass only: no extra
+/// coded packets until a generation has measured the link's loss.
+constexpr double kInitialRedundancy = 0.0;
+/// Virtual ticks between consecutive packet submissions in a burst.
+constexpr std::uint64_t kPacketIntervalTicks = 1;
+
 /// Ceiling division for packet/chunk geometry.
 std::uint32_t div_ceil(std::uint32_t a, std::uint32_t b) {
   return (a + b - 1) / b;
@@ -27,7 +33,6 @@ std::uint32_t div_ceil(std::uint32_t a, std::uint32_t b) {
 CodedConfig sanitized(CodedConfig config) {
   if (config.generation_size == 0) config.generation_size = 1;
   if (config.chunk_bytes == 0) config.chunk_bytes = 1;
-  if (config.packet_interval_ticks == 0) config.packet_interval_ticks = 1;
   if (config.ack_timeout_ticks == 0) config.ack_timeout_ticks = 1;
   return config;
 }
@@ -275,8 +280,7 @@ TransferOutcome CodedTransfer::run(CodedReceiver& receiver) {
   // generation n pre-pays the redundancy generation n-1 turned out to
   // need, so a steadily lossy link converges in one burst per
   // generation instead of one timeout round per loss.
-  double loss_estimate =
-      std::clamp(config_.initial_redundancy, 0.0, 0.9);
+  double loss_estimate = kInitialRedundancy;
 
   for (std::uint32_t gen = 0; gen < generation_count; ++gen) {
     const std::size_t first =
@@ -308,7 +312,7 @@ TransferOutcome CodedTransfer::run(CodedReceiver& receiver) {
       packet.body = std::move(symbol.body);
       const Bytes wire = encode_coded_packet(packet);
       channel_.send(FaultyChannel::Dir::ToOperator, wire, now_);
-      now_ += config_.packet_interval_ticks;
+      now_ += kPacketIntervalTicks;
       ++counters.packets_sent;
       ++sent_this_gen;
       counters.bytes_on_wire += wire.size();
@@ -402,7 +406,7 @@ TransferOutcome CodedTransfer::run(CodedReceiver& receiver) {
           1.0 - static_cast<double>(std::min(innovative_this_gen,
                                              sent_this_gen)) /
                     static_cast<double>(sent_this_gen);
-      loss_estimate = std::clamp(waste, config_.initial_redundancy, 0.9);
+      loss_estimate = std::clamp(waste, kInitialRedundancy, 0.9);
     }
   }
   out.delivered = true;

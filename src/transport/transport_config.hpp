@@ -31,11 +31,6 @@ struct CodedConfig {
   /// Bytes per chunk; the sealed batch is zero-padded to a whole
   /// number of chunks.
   std::uint16_t chunk_bytes = 64;
-  /// Extra coded packets in the first burst, as a fraction of the
-  /// generation size (0.0 = systematic pass only).
-  double initial_redundancy = 0.0;
-  /// Virtual ticks between consecutive packet submissions in a burst.
-  std::uint64_t packet_interval_ticks = 1;
   /// Ticks the sender waits for the end-of-generation ACK before
   /// topping the generation up with more coded packets.
   std::uint64_t ack_timeout_ticks = 32;

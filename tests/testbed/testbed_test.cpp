@@ -206,7 +206,15 @@ TEST(TestbedTest, EpcComponentsAreLive) {
   EXPECT_TRUE(testbed.spgw().has_session(testbed.app_imsi()));
   EXPECT_GT(testbed.enodeb().stats().counter_checks, 0u);
   EXPECT_EQ(testbed.hss().subscriber_count(), 2u);
-  EXPECT_EQ(testbed.pcrf().rule_count(), 2u);
+}
+
+TEST(TestbedTest, OnlyQci7GamingGetsADedicatedBearer) {
+  for (AppKind app : {AppKind::WebcamRtsp, AppKind::WebcamUdp,
+                      AppKind::WebcamUdpDownlink, AppKind::VrGvsp,
+                      AppKind::GamingQci9}) {
+    EXPECT_EQ(app_qci(app), sim::Qci::kQci9);
+  }
+  EXPECT_EQ(app_qci(AppKind::GamingQci7), sim::Qci::kQci7);
 }
 
 }  // namespace
