@@ -1,10 +1,10 @@
 #include "core/batch_settlement.hpp"
 
-#include <deque>
 #include <unordered_map>
 #include <utility>
 
 #include "sim/rng_stream.hpp"
+#include "transport/settlement_runner.hpp"
 #include "util/parallel_for.hpp"
 
 namespace tlc::core {
@@ -47,8 +47,7 @@ const char* settle_outcome_name(SettleOutcome outcome) {
 std::unique_ptr<TlcSession> make_batch_session(const BatchConfig& config,
                                                const RsaKeyCache& keys,
                                                std::uint64_t ue_id,
-                                               PartyRole role,
-                                               bool tolerate_faults) {
+                                               PartyRole role) {
   SessionConfig session_config;
   session_config.role = role;
   if (role == PartyRole::EdgeVendor) {
@@ -62,7 +61,9 @@ std::unique_ptr<TlcSession> make_batch_session(const BatchConfig& config,
   session_config.cycle_length = config.cycle_length;
   session_config.first_cycle_start = config.first_cycle_start;
   session_config.max_rounds = config.max_rounds;
-  session_config.tolerate_faults = tolerate_faults;
+  // Lenient on every rung: a forged or mangled message is counted and
+  // dropped, never fatal. A perfect pipe never delivers one.
+  session_config.tolerate_faults = true;
   // Session RNG derives from (salt, ue, role): a pure function, so the
   // same UE settles to byte-identical PoCs whether it runs in a batch,
   // alone, or on any worker thread.
@@ -95,80 +96,6 @@ std::vector<UeGroup> group_by_ue(const std::vector<SettlementItem>& items) {
   return groups;
 }
 
-/// One UE's reused session pair and its in-flight wire messages. The
-/// sessions' send closures hold its address, so it never moves.
-struct Group {
-  Group() = default;
-  Group(const Group&) = delete;
-  Group& operator=(const Group&) = delete;
-
-  std::unique_ptr<TlcSession> edge;
-  std::unique_ptr<TlcSession> op;
-  // Pending wire messages: (to_edge, bytes), FIFO per group.
-  std::deque<std::pair<bool, Bytes>> wire;
-  bool poisoned = false;  // a cycle failed; remaining cycles skip
-  std::string poison_reason;
-};
-
-/// Builds the group's session pair.
-void open_sessions(Group& group, const BatchConfig& config,
-                   const RsaKeyCache& keys, std::uint64_t ue) {
-  group.edge = make_batch_session(config, keys, ue, PartyRole::EdgeVendor);
-  group.op = make_batch_session(config, keys, ue, PartyRole::Operator);
-  Group* raw = &group;
-  group.edge->set_send(
-      [raw](const Bytes& m) { raw->wire.emplace_back(false, m); });
-  group.op->set_send(
-      [raw](const Bytes& m) { raw->wire.emplace_back(true, m); });
-}
-
-void poison(Group& group, const std::string& reason) {
-  group.poisoned = true;
-  if (group.poison_reason.empty()) group.poison_reason = reason;
-}
-
-/// Delivers one queued message; poisons the group on protocol errors.
-void deliver_one(Group& group) {
-  auto [to_edge, message] = std::move(group.wire.front());
-  group.wire.pop_front();
-  const Status status = to_edge ? group.edge->receive(message)
-                                : group.op->receive(message);
-  if (!status.ok()) poison(group, status.error());
-}
-
-/// Arms cycle `item` on both sides and lets the operator initiate.
-bool begin_group_cycle(Group& group, const SettlementItem& item) {
-  if (group.poisoned) return false;
-  if (!group.op->begin_cycle(item.op_view).ok()) return false;
-  if (!group.edge->begin_cycle(item.edge_view).ok()) return false;
-  return group.op->start().ok();
-}
-
-/// Finishes the in-flight cycle and fills the receipt; a failed
-/// negotiation poisons the group.
-void finish_group_cycle(Group& group, SettlementReceipt& receipt) {
-  if (group.poisoned || !group.op->cycle_complete() ||
-      !group.edge->cycle_complete()) {
-    group.op->abort_cycle();
-    group.edge->abort_cycle();
-    poison(group, "negotiation did not complete");
-    receipt.failure_reason = group.poison_reason;
-    return;
-  }
-  const auto op_receipt = group.op->finish_cycle();
-  const auto edge_receipt = group.edge->finish_cycle();
-  if (!op_receipt || !edge_receipt) {
-    poison(group, op_receipt ? edge_receipt.error() : op_receipt.error());
-    receipt.failure_reason = group.poison_reason;
-    return;
-  }
-  receipt.completed = true;
-  receipt.charged = op_receipt->charged;
-  receipt.rounds = op_receipt->rounds;
-  receipt.poc_wire = group.op->receipts().entries().back().poc_wire;
-  receipt.outcome = SettleOutcome::Converged;
-}
-
 }  // namespace
 
 std::vector<SettlementReceipt> settle_by_ue(
@@ -198,21 +125,19 @@ void settle_in_process(const BatchConfig& config, const RsaKeyCache& keys,
                        const std::vector<SettlementItem>& items,
                        const UeGroup& group,
                        std::vector<SettlementReceipt>& receipts) {
-  Group pair;
-  open_sessions(pair, config, keys, group.ue_id);
+  // A perfect pipe: no fault ever fires and no retry timer expires, so
+  // neither the channel seed nor the jitter root reaches a receipt.
+  transport::UeSettlement pair(config, keys, group.ue_id,
+                               transport::FaultyChannel({}, {}, 0),
+                               transport::RetryPolicy{}, /*jitter_root=*/0);
+  const SettlementReceipt* first_failure = nullptr;
   for (std::size_t cycle = 0; cycle < receipts.size(); ++cycle) {
-    if (!begin_group_cycle(pair, items[group.item_indices[cycle]])) {
-      poison(pair, "cycle could not start");
-      receipts[cycle].failure_reason = pair.poison_reason;
+    if (first_failure != nullptr) {
+      receipts[cycle].failure_reason = first_failure->failure_reason;
       continue;
     }
-    // Two parties stalled at the fixed point would repeat their round
-    // up to the cap: fail the cycle now, as the capped run would.
-    while (!pair.wire.empty() && !pair.poisoned &&
-           !(pair.edge->stalled() && pair.op->stalled())) {
-      deliver_one(pair);
-    }
-    finish_group_cycle(pair, receipts[cycle]);
+    pair.settle_cycle(items[group.item_indices[cycle]], receipts[cycle]);
+    if (!receipts[cycle].completed) first_failure = &receipts[cycle];
   }
 }
 

@@ -17,11 +17,11 @@
 // stop-and-wait and coded in transport::LossySettler — is a per-group
 // function on that one fan-out.
 //
-// A stuck negotiation: the in-process rung, and so the coded rung that
-// negotiates through it, stops once both sessions sit at Algorithm 1's
-// fixed point (negotiation.hpp) and fails the cycle with the receipt
-// the round cap would give. Stop-and-wait runs to the cap, since its
-// faults are indexed by message.
+// Every rung pumps a cycle's messages through one
+// transport::SettlementRunner (settlement_runner.hpp); in-process
+// settlement runs it over a zero-fault channel. The runner fails a
+// stuck negotiation as soon as both sessions sit at Algorithm 1's fixed
+// point (negotiation.hpp).
 #pragma once
 
 #include <cstdint>
@@ -132,16 +132,15 @@ using SettleGroup =
 /// runs. Key slots and the session RNG stream (salt, 2*ue + role) are
 /// pure functions of their inputs, so every rung negotiates the same
 /// PoCs for the same (UE, cycle) as long as that cycle is negotiated.
+/// The session tolerates faults (SessionConfig::tolerate_faults).
 [[nodiscard]] std::unique_ptr<TlcSession> make_batch_session(
     const BatchConfig& config, const RsaKeyCache& keys, std::uint64_t ue_id,
-    PartyRole role, bool tolerate_faults = false);
+    PartyRole role);
 
-/// The in-process rung: the group's cycles through one session pair
-/// and a local FIFO pump. The pump stops as soon as both sessions report
-/// stalled() (negotiation.hpp): the cycle then fails exactly as it
-/// would at the round cap. After the first cycle that fails, the rest
-/// are not negotiated and carry its reason (§5.1: retry policy belongs
-/// to the caller).
+/// The in-process rung: the group's cycles through the settlement
+/// runner over a zero-fault channel. After the first cycle that fails,
+/// the rest are not negotiated and carry its reason (§5.1: retry policy
+/// belongs to the caller).
 void settle_in_process(const BatchConfig& config, const RsaKeyCache& keys,
                        const std::vector<SettlementItem>& items,
                        const UeGroup& group,

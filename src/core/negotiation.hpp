@@ -30,10 +30,9 @@
 // rejected round repeats the previous one — same claims, window left
 // unchanged — every later round repeats it too (Theorems 3-4: neither
 // party gains by moving its claim). Each endpoint reports that as
-// stalled(), and in-process settlement (batch_settlement.hpp) fails the
-// cycle as soon as both do, exactly as the capped run would. The
-// stop-and-wait transport keeps the full exchange, because its message
-// faults are indexed by message count. Skipping rounds needs no RNG
+// stalled(), and the settlement runner (transport/settlement_runner.hpp)
+// that carries every settlement cycle fails the cycle as soon as both
+// do, exactly as the capped run would. Skipping rounds needs no RNG
 // fast-forward: each cycle's endpoint gets rng_.fork() of its session
 // stream, so nonces a cycle did not draw never reach a later cycle.
 #pragma once

@@ -69,11 +69,6 @@ Expected<CycleReceipt> TlcSession::finish_cycle() {
   return receipt;
 }
 
-void TlcSession::abort_cycle() {
-  if (endpoint_) crypto_seconds_ += endpoint_->crypto_seconds();
-  endpoint_.reset();
-}
-
 void TlcSession::skip_cycle() {
   if (endpoint_) crypto_seconds_ += endpoint_->crypto_seconds();
   endpoint_.reset();

@@ -82,10 +82,6 @@ class TlcSession {
   /// Fails unless cycle_complete().
   [[nodiscard]] Expected<CycleReceipt> finish_cycle();
 
-  /// Abandons a failed negotiation without advancing the cycle (the
-  /// parties retry; §5.1: neither benefits from stalling).
-  void abort_cycle();
-
   /// Gives up on the current cycle and moves on to the next one —
   /// graceful degradation after the transport retry budget is spent:
   /// the cycle settles via the operator's unilateral legacy CDR bill

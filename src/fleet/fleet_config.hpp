@@ -89,10 +89,10 @@ struct FleetConfig {
   std::size_t key_cache_slots = 4;
 
   /// Settle over the fault-injected transport ladder (§8, §17) instead
-  /// of the in-process pump. With all-zero fault rates the receipts
-  /// equal the lossless path's through each UE's first failed cycle;
-  /// after it the in-process and coded rungs leave that UE's remaining
-  /// cycles un-negotiated, while stop-and-wait negotiates them.
+  /// of in-process. With all-zero fault rates the receipts equal the
+  /// lossless path's through each UE's first failed cycle; after it the
+  /// in-process and coded rungs leave that UE's remaining cycles
+  /// un-negotiated, while stop-and-wait negotiates them.
   bool lossy_transport = false;
   /// Fault rates, retry policy and transport seed when lossy_transport
   /// is on. Fault schedules derive from (transport.seed, ue, message

@@ -12,8 +12,8 @@
 //
 // Time is virtual: the caller stamps send/deliver calls with its own
 // monotonic tick counter. With an all-zero profile the channel is a
-// 1-tick FIFO pipe and settlement output is bit-identical to the
-// lossless in-process pump.
+// 1-tick FIFO pipe: in-process settlement (core::settle_in_process)
+// runs over one.
 #pragma once
 
 #include <cstdint>

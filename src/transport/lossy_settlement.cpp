@@ -50,47 +50,12 @@ LossyBatchReport LossySettler::settle(
 void LossySettler::settle_stop_and_wait(
     const std::vector<core::SettlementItem>& items, const core::UeGroup& group,
     Receipts& receipts) const {
-  const std::uint64_t ue = group.ue_id;
-  auto edge = core::make_batch_session(config_, keys_, ue,
-                                       core::PartyRole::EdgeVendor,
-                                       /*tolerate_faults=*/true);
-  auto op = core::make_batch_session(config_, keys_, ue,
-                                     core::PartyRole::Operator,
-                                     /*tolerate_faults=*/true);
-  FaultyChannel channel = ue_channel(transport_, ue);
-  const std::uint64_t jitter_stream = 2 * ue + 1;
-  const std::uint64_t jitter_root =
-      sim::stream_seed(transport_.seed, jitter_stream);
-  std::uint64_t now = 0;
-
+  const std::uint64_t jitter_stream = 2 * group.ue_id + 1;
+  UeSettlement pair(config_, keys_, group.ue_id,
+                    ue_channel(transport_, group.ue_id), transport_.retry,
+                    sim::stream_seed(transport_.seed, jitter_stream));
   for (std::size_t cycle = 0; cycle < receipts.size(); ++cycle) {
-    const core::SettlementItem& item = items[group.item_indices[cycle]];
-    core::SettlementReceipt& receipt = receipts[cycle];
-    if (!op->begin_cycle(item.op_view).ok() ||
-        !edge->begin_cycle(item.edge_view).ok()) {
-      receipt.failure_reason = "cycle could not start";
-      continue;
-    }
-    // Each cycle is a fresh transport association: leftovers of the
-    // previous cycle (late duplicates, reordered stragglers) must not
-    // replay into this one.
-    channel.drain();
-
-    const std::uint64_t cycle_stream = cycle;
-    SettlementRunner runner(*edge, *op, channel, transport_.retry,
-                            sim::stream_seed(jitter_root, cycle_stream), now);
-    CycleRunResult result = runner.run_cycle(
-        keys_.edge_key(ue).public_key, keys_.operator_key(ue).public_key);
-    now = runner.now() + 1;
-
-    receipt.outcome = result.outcome;
-    receipt.completed = result.outcome == core::SettleOutcome::Converged ||
-                        result.outcome == core::SettleOutcome::Retried;
-    receipt.charged = result.charged;
-    receipt.rounds = result.rounds;
-    receipt.poc_wire = std::move(result.poc_wire);
-    receipt.retransmits = result.retransmits;
-    receipt.failure_reason = std::move(result.failure_reason);
+    pair.settle_cycle(items[group.item_indices[cycle]], receipts[cycle]);
   }
 }
 

@@ -9,18 +9,15 @@
 // The coded rung negotiates in-process and carries the group's sealed
 // receipts as one RLNC transfer (coded_session.hpp); a spent budget or
 // a payload that is not the group's drops the whole group a rung.
-// Stop-and-wait (§8) sends every message through a FaultyChannel under
-// the retry shim and degrades a cycle that cannot converge to the
-// legacy CDR bill; the UE's next cycle proceeds. It runs a stuck
-// negotiation to the round cap rather than stopping at the fixed point
-// as the in-process pump does: faults are indexed by message, so
-// skipped messages would shift the UE's later faults.
+// Stop-and-wait (§8) settles each cycle through the SettlementRunner
+// over the UE's FaultyChannel, as in-process settlement does over a
+// zero-fault one, and degrades a cycle that cannot converge to the
+// legacy CDR bill; the UE's next cycle proceeds.
 //
 // Zero-fault contract: every rung matches the in-process receipts
-// through each UE's first failed cycle, which fails on every rung
-// (with a rung-specific reason). After it the in-process and coded
-// rungs leave the UE's remaining cycles un-negotiated; stop-and-wait
-// negotiates them.
+// through each UE's first failed cycle, which fails on every rung for
+// the same reason. After it the in-process and coded rungs leave the
+// UE's remaining cycles un-negotiated; stop-and-wait negotiates them.
 //
 // Determinism contract: faults derive from (transport.seed, ue,
 // message index), retry jitter from (transport.seed, ue, cycle,

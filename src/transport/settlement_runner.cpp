@@ -1,6 +1,7 @@
 #include "transport/settlement_runner.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/verifier.hpp"
 #include "sim/rng_stream.hpp"
@@ -87,6 +88,9 @@ CycleRunResult SettlementRunner::run_cycle(
           edge_.cycle_failed() ? edge_.failure_reason() : op_.failure_reason();
       return degrade("protocol-failed: " + why, start);
     }
+    if (edge_.stalled() && op_.stalled()) {
+      return degrade(kReasonStalled, start);
+    }
     if (!edge_driver_.poll(now_) || !op_driver_.poll(now_)) {
       return degrade(kReasonBudget, start);
     }
@@ -138,6 +142,49 @@ CycleRunResult SettlementRunner::run_cycle(
   result.outcome = result.retransmits > 0 ? core::SettleOutcome::Retried
                                           : core::SettleOutcome::Converged;
   return result;
+}
+
+UeSettlement::UeSettlement(const core::BatchConfig& config,
+                           const core::RsaKeyCache& keys, std::uint64_t ue_id,
+                           FaultyChannel channel, RetryPolicy policy,
+                           std::uint64_t jitter_root)
+    : keys_(keys),
+      ue_id_(ue_id),
+      edge_(core::make_batch_session(config, keys, ue_id,
+                                     core::PartyRole::EdgeVendor)),
+      op_(core::make_batch_session(config, keys, ue_id,
+                                   core::PartyRole::Operator)),
+      channel_(std::move(channel)),
+      policy_(policy),
+      jitter_root_(jitter_root) {}
+
+void UeSettlement::settle_cycle(const core::SettlementItem& item,
+                                core::SettlementReceipt& receipt) {
+  if (!op_->begin_cycle(item.op_view).ok() ||
+      !edge_->begin_cycle(item.edge_view).ok()) {
+    receipt.failure_reason = "cycle could not start";
+    return;
+  }
+  // Each cycle is a fresh transport association: leftovers of the
+  // previous cycle (late duplicates, reordered stragglers) must not
+  // replay into this one.
+  channel_.drain();
+
+  const std::uint64_t cycle_stream = receipt.cycle;
+  SettlementRunner runner(*edge_, *op_, channel_, policy_,
+                          sim::stream_seed(jitter_root_, cycle_stream), now_);
+  CycleRunResult result = runner.run_cycle(
+      keys_.edge_key(ue_id_).public_key, keys_.operator_key(ue_id_).public_key);
+  now_ = runner.now() + 1;
+
+  receipt.outcome = result.outcome;
+  receipt.completed = result.outcome == core::SettleOutcome::Converged ||
+                      result.outcome == core::SettleOutcome::Retried;
+  receipt.charged = result.charged;
+  receipt.rounds = result.rounds;
+  receipt.poc_wire = std::move(result.poc_wire);
+  receipt.retransmits = result.retransmits;
+  receipt.failure_reason = std::move(result.failure_reason);
 }
 
 }  // namespace tlc::transport

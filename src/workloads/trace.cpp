@@ -1,5 +1,6 @@
 #include "workloads/trace.hpp"
 
+#include <algorithm>
 #include <fstream>
 
 #include "crypto/hmac.hpp"
@@ -59,7 +60,11 @@ Expected<Trace> Trace::deserialize(const Bytes& data) {
   trace.description = *description;
   auto count = r.u32();
   if (!count) return Err("trace: " + count.error());
-  trace.entries.reserve(*count);
+  // A count is untrusted until the bytes behind it are read: reserve
+  // no more entries than the body can still hold.
+  constexpr std::size_t kMinEntrySize = 8 + 4 + 1 + 1;
+  trace.entries.reserve(
+      std::min<std::size_t>(*count, r.remaining() / kMinEntrySize));
   for (std::uint32_t i = 0; i < *count; ++i) {
     TraceEntry entry;
     auto offset = r.i64();

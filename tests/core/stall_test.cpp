@@ -1,5 +1,5 @@
 // The fixed-point stall test: Strategy::stationary() and the endpoint's
-// stalled(), which the in-process settler uses to stop a negotiation
+// stalled(), which the settlement runner uses to stop a negotiation
 // that can only run on to the round cap.
 #include <gtest/gtest.h>
 

@@ -119,16 +119,6 @@ TEST_F(SessionFixture, LifecycleErrors) {
   EXPECT_FALSE(op_session->begin_cycle(UsageView{2, 2}).ok());  // in flight
 }
 
-TEST_F(SessionFixture, AbortAllowsRetryOfSameCycle) {
-  EXPECT_TRUE(op_session->begin_cycle(UsageView{100, 90}).ok());
-  op_session->abort_cycle();
-  EXPECT_FALSE(op_session->negotiating());
-  // The cycle index did not advance.
-  EXPECT_EQ(op_session->current_plan().t_start, 0);
-  const CycleReceipt receipt = settle_cycle(100, 90);
-  EXPECT_EQ(receipt.plan.t_start, 0);
-}
-
 TEST_F(SessionFixture, CryptoTimeAccumulates) {
   (void)settle_cycle(100000, 90000);
   EXPECT_GT(op_session->crypto_seconds(), 0.0);

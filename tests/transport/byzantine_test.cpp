@@ -162,10 +162,8 @@ TEST(ByzantineTest, StaleCdaReplayCountsAsTamper) {
   // session drops it and keeps the cycle alive.
   core::BatchConfig config;
   core::RsaKeyCache keys(512, 1, 0x57a1e);
-  auto op = core::make_batch_session(config, keys, 0, PartyRole::Operator,
-                                     /*tolerate_faults=*/true);
-  auto edge = core::make_batch_session(config, keys, 0, PartyRole::EdgeVendor,
-                                       /*tolerate_faults=*/true);
+  auto op = core::make_batch_session(config, keys, 0, PartyRole::Operator);
+  auto edge = core::make_batch_session(config, keys, 0, PartyRole::EdgeVendor);
   std::deque<std::pair<bool, Bytes>> wire;
   Bytes cycle0_cda;
   op->set_send([&](const Bytes& m) { wire.emplace_back(true, m); });
@@ -210,8 +208,7 @@ TEST(ByzantineTest, ForgingPeerExhaustsBudgetAndDegrades) {
   // RejectedTamper because tampering was observed.
   core::BatchConfig config;
   core::RsaKeyCache keys(512, 1, 0xdead);
-  auto op = core::make_batch_session(config, keys, 0, PartyRole::Operator,
-                                     /*tolerate_faults=*/true);
+  auto op = core::make_batch_session(config, keys, 0, PartyRole::Operator);
   ASSERT_TRUE(op->begin_cycle({100000, 90000}).ok());
 
   RetryPolicy policy;

@@ -95,9 +95,11 @@ TEST(LossyFleetTest, ZeroRatesMatchTheLosslessPathExactly) {
 TEST(LossyFleetTest, ZeroRatesMatchTheLosslessPathThroughEachFirstFailure) {
   // The zero-fault contract on a fleet where a cycle fails. Every rung
   // matches the in-process receipts up to each UE's first failed
-  // cycle, and that cycle fails on every rung. After it, the in-process
-  // and coded rungs leave the UE's remaining cycles un-negotiated (with
-  // the first failure's reason), while stop-and-wait negotiates them.
+  // cycle, and that cycle fails on every rung for the same reason: the
+  // runner stops it at Algorithm 1's fixed point. After it, the
+  // in-process and coded rungs leave the UE's remaining cycles
+  // un-negotiated (with the first failure's reason), while
+  // stop-and-wait negotiates them.
   const FleetConfig lossless_config = transport::small_cells_smoke();
   FleetConfig piped_config = lossless_config;
   piped_config.lossy_transport = true;
@@ -139,6 +141,8 @@ TEST(LossyFleetTest, ZeroRatesMatchTheLosslessPathThroughEachFirstFailure) {
       EXPECT_EQ(stop_and_wait.charged, in_process.charged) << i;
       EXPECT_EQ(stop_and_wait.rounds, in_process.rounds) << i;
       EXPECT_EQ(stop_and_wait.poc_wire, in_process.poc_wire) << i;
+      EXPECT_EQ(stop_and_wait.failure_reason, in_process.failure_reason)
+          << i;
       if (!in_process.completed) failed_ue = in_process.ue_id;
       continue;
     }

@@ -121,7 +121,7 @@ core::RsaKeyCache* DriverResendTest::keys_ = nullptr;
 TEST_F(DriverResendTest, TimerExpiryResendsIdenticalBytes) {
   core::BatchConfig config;
   auto op = core::make_batch_session(config, *keys_, 0,
-                                     core::PartyRole::Operator, true);
+                                     core::PartyRole::Operator);
   ASSERT_TRUE(op->begin_cycle({100000, 90000}).ok());
 
   std::vector<Bytes> sent;
@@ -152,7 +152,7 @@ TEST_F(DriverResendTest, TimerExpiryResendsIdenticalBytes) {
 TEST_F(DriverResendTest, PollBeforeDeadlineDoesNothing) {
   core::BatchConfig config;
   auto op = core::make_batch_session(config, *keys_, 0,
-                                     core::PartyRole::Operator, true);
+                                     core::PartyRole::Operator);
   ASSERT_TRUE(op->begin_cycle({1000, 900}).ok());
   std::vector<Bytes> sent;
   ReliableSessionDriver driver(*op, no_jitter_policy(), Rng(7),
@@ -171,9 +171,9 @@ TEST_F(DriverResendTest, DuplicateInboundTriggersResendOfLastReply) {
   // the same CDA bytes.
   core::BatchConfig config;
   auto op = core::make_batch_session(config, *keys_, 0,
-                                     core::PartyRole::Operator, true);
+                                     core::PartyRole::Operator);
   auto edge = core::make_batch_session(config, *keys_, 0,
-                                       core::PartyRole::EdgeVendor, true);
+                                       core::PartyRole::EdgeVendor);
   ASSERT_TRUE(op->begin_cycle({100000, 90000}).ok());
   ASSERT_TRUE(edge->begin_cycle({100000, 90000}).ok());
 

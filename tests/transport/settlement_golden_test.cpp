@@ -5,12 +5,12 @@
 // and the coded rung seals all three into the payload it carries. So
 // these goldens hash every field of every receipt, plus the coded
 // census, for the items of the small_cells benchmark shape at smoke
-// size (16 UEs, 3 cycles, seed 1). In that set UE 2's cycle 1 hits the
-// round cap and its cycle 2 follows it, so the in-process abandon
-// policy and the stop-and-wait per-cycle degradation both show. The
-// dense_cell smoke set (12 UEs, 3 cycles, seed 1) pins the in-process
-// and zero-fault coded receipts of the workload whose round-cap cycles
-// dominate settle time; there too UE 2's cycle 1 is stuck at the cap.
+// size (16 UEs, 3 cycles, seed 1). In that set UE 2's cycle 1 sticks at
+// Algorithm 1's fixed point and its cycle 2 follows it, so the
+// in-process abandon policy and the stop-and-wait per-cycle degradation
+// both show. The dense_cell smoke set (12 UEs, 3 cycles, seed 1) pins
+// the in-process and zero-fault coded receipts of the workload whose
+// stuck cycles dominate settle time; there too UE 2's cycle 1 is stuck.
 //
 // Each case runs at 1 and 3 threads; both must hash to the golden.
 #include <gtest/gtest.h>
@@ -154,7 +154,7 @@ TEST_F(SettlementGoldenTest, StopAndWaitZeroFault) {
         return LossySettler(small_->batch(), transport, small_->keys)
             .settle(small_->items, threads);
       },
-      "c4271485cb8466dee997d6228d85859801949047d3023b29aea8d69f708f564f");
+      "7508fa1bd761cb8228bc95c7a01b1caa5e1727f282b4dd934d706d09f55ef14e");
 }
 
 TEST_F(SettlementGoldenTest, StopAndWaitFaulty) {
@@ -164,7 +164,7 @@ TEST_F(SettlementGoldenTest, StopAndWaitFaulty) {
                             small_->keys)
             .settle(small_->items, threads);
       },
-      "ceeb58fb954b93fb760dc79280caa086e8af71bac7321c2013c3de77e35c12de");
+      "86d9659ce0e333ce80eab34dc2f599ffd765ccadbb4b0e024d4cf1993ec3d738");
 }
 
 TEST_F(SettlementGoldenTest, CodedZeroFault) {

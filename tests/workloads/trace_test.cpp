@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "crypto/hmac.hpp"
 #include "workloads/gaming.hpp"
 
 namespace tlc::workloads {
@@ -51,6 +52,26 @@ TEST(TraceTest, TruncationDetected) {
   data.resize(data.size() - 5);
   EXPECT_FALSE(Trace::deserialize(data));
   EXPECT_FALSE(Trace::deserialize(Bytes(10, 0)));
+}
+
+TEST(TraceTest, EntryCountPastTheBytesIsATypedError) {
+  // The integrity key is public, so anyone can re-tag a trace. An empty
+  // trace whose entry count reads 0xffffffff once sized a reserve of
+  // four billion entries and threw std::bad_alloc.
+  Trace empty;
+  empty.description = "forged";
+  const Bytes valid = empty.serialize();
+  Bytes body(valid.begin(), valid.end() - 32);
+  // magic, then the description's length and text, then the count.
+  const std::size_t count_at = 4 + 4 + empty.description.size();
+  ASSERT_EQ(body.size(), count_at + 4);
+  for (std::size_t i = 0; i < 4; ++i) body[count_at + i] = 0xff;
+  append(body, crypto::hmac_sha256(bytes_of("tlc-trace-integrity-v1"), body));
+
+  const auto result = Trace::deserialize(body);
+  ASSERT_FALSE(result);
+  EXPECT_EQ(result.error().rfind("trace: ", 0), 0u) << result.error();
+  ASSERT_TRUE(Trace::deserialize(valid));
 }
 
 TEST(TraceTest, FileRoundTrip) {
