@@ -19,8 +19,7 @@ std::uint64_t draw_jitter_us(const TimeSyncParams& params, Rng& rng) {
 /// One delay leg: mean one-way delay plus jitter, floored at 100us.
 std::uint64_t draw_leg_us(const TimeSyncParams& params, Rng& rng) {
   return std::max<std::uint64_t>(100,
-                                 params.one_way_delay_us +
-                                     draw_jitter_us(params, rng));
+                                 kOneWayDelayUs + draw_jitter_us(params, rng));
 }
 
 }  // namespace

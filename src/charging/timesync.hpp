@@ -18,11 +18,12 @@
 
 namespace tlc::charging {
 
+/// Mean one-way network delay to the time server.
+inline constexpr std::uint64_t kOneWayDelayUs = 15'000;
+
 struct TimeSyncParams {
   /// The party's true clock offset before synchronization (signed us).
   std::int64_t true_offset_us = 1'500'000;
-  /// Mean one-way network delay to the time server.
-  std::uint64_t one_way_delay_us = 15'000;
   /// Per-leg delay jitter (asymmetry source — the NTP error floor).
   std::uint64_t delay_jitter_us = 4'000;
   /// Exchange rounds; NTP keeps the best-RTT sample.

@@ -5,6 +5,12 @@
 #include "util/logging.hpp"
 
 namespace tlc::epc {
+namespace {
+
+/// COUNTER CHECK request/response round trip over RRC.
+constexpr SimTime kCounterCheckDelay = 20 * kMillisecond;
+
+}  // namespace
 
 Expected<Bytes> RrcEndpoint::handle_rrc(const Bytes& wire) {
   auto check = RrcCounterCheck::decode(wire);
@@ -18,18 +24,6 @@ Expected<Bytes> RrcEndpoint::handle_rrc(const Bytes& wire) {
 
 EnodeB::EnodeB(sim::Simulator& sim, EnodebParams params, Rng rng)
     : sim_(sim), params_(params), rng_(rng) {}
-
-std::size_t EnodeB::queue_index(sim::Qci qci) {
-  switch (qci) {
-    case sim::Qci::kQci3:
-      return 0;
-    case sim::Qci::kQci7:
-      return 1;
-    case sim::Qci::kQci9:
-      return 2;
-  }
-  return 2;
-}
 
 void EnodeB::add_ue(Imsi imsi, RrcEndpoint* endpoint,
                     sim::RadioChannel* radio) {
@@ -112,7 +106,7 @@ void EnodeB::do_counter_check(Imsi imsi) {
   const std::uint32_t transaction = next_rrc_transaction_++;
   // The response returns after one RRC round trip; counters are read at
   // response time (the modem answers with its state when it replies).
-  sim_.schedule_after(params_.counter_check_delay, [this, imsi, transaction] {
+  sim_.schedule_after(kCounterCheckDelay, [this, imsi, transaction] {
     auto it = ues_.find(imsi);
     if (it == ues_.end() || counter_check_ == nullptr) return;
     const RrcCounterCheck check{transaction};
@@ -246,7 +240,7 @@ void EnodeB::downlink_submit(Imsi imsi, const sim::Packet& packet) {
   if (it == ues_.end()) {
     return;  // no context (detached): dies here, uncharged downstream
   }
-  const std::size_t q = queue_index(packet.qci);
+  const std::size_t q = sim::qci_index(packet.qci);
   if (!enqueue(dl_, q, it->second, packet)) {
     ++stats_.dl_queue_drops;
     return;
@@ -258,7 +252,7 @@ void EnodeB::uplink_submit(Imsi imsi, const sim::Packet& packet) {
   auto it = ues_.find(imsi);
   if (it == ues_.end()) return;
   touch_rrc(imsi, it->second);
-  const std::size_t q = queue_index(packet.qci);
+  const std::size_t q = sim::qci_index(packet.qci);
   if (!enqueue(ul_, q, it->second, packet)) {
     ++stats_.ul_queue_drops;
     return;

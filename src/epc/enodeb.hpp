@@ -69,8 +69,6 @@ struct EnodebParams {
   std::uint32_t queue_limit_bytes = 1u << 20;
   /// RRC inactivity timeout before connection release.
   SimTime rrc_inactivity_timeout = 10 * kSecond;
-  /// COUNTER CHECK request/response round trip over RRC.
-  SimTime counter_check_delay = 20 * kMillisecond;
   /// Re-poll period when queued traffic cannot be served (all candidate
   /// UEs out of coverage).
   SimTime blocked_retry = 20 * kMillisecond;
@@ -149,9 +147,8 @@ class EnodeB {
   [[nodiscard]] std::uint64_t dl_backlog(Imsi imsi) const;
 
  private:
-  // QCI 3 / 7 / 9 -> queue index 0 / 1 / 2.
+  // QCI 3 / 7 / 9 -> queue index 0 / 1 / 2 (sim::qci_index).
   static constexpr std::size_t kQueues = 3;
-  [[nodiscard]] static std::size_t queue_index(sim::Qci qci);
 
   /// Index into a QueueSet's node pool; kNil ends a list.
   static constexpr std::uint32_t kNil = 0xffffffffu;

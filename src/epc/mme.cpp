@@ -6,9 +6,19 @@
 #include "util/logging.hpp"
 
 namespace tlc::epc {
+namespace {
 
-Mme::Mme(sim::Simulator& sim, Hss& hss, MmeParams params)
-    : sim_(sim), hss_(hss), params_(params) {}
+/// Radio-link supervision period.
+constexpr SimTime kPollInterval = 500 * kMillisecond;
+/// Persistent-outage threshold before network-initiated detach (the
+/// paper's core averaged 5 s).
+constexpr SimTime kDetachAfter = 5 * kSecond;
+/// Attach procedure latency once coverage returns.
+constexpr SimTime kAttachDelay = 200 * kMillisecond;
+
+}  // namespace
+
+Mme::Mme(sim::Simulator& sim, Hss& hss) : sim_(sim), hss_(hss) {}
 
 bool Mme::register_ue(Imsi imsi, sim::RadioChannel* radio) {
   if (!hss_.authorize_attach(imsi)) {
@@ -38,7 +48,7 @@ void Mme::set_attached(Imsi imsi, UeState& state, bool attached) {
 void Mme::start() {
   if (started_) return;
   started_ = true;
-  sim_.schedule_after(params_.poll_interval, [this] { poll(); });
+  sim_.schedule_after(kPollInterval, [this] { poll(); });
 }
 
 void Mme::poll() {
@@ -59,7 +69,7 @@ void Mme::poll() {
     if (state.attached) {
       if (!connected) {
         const SimTime since = state.radio->disconnected_since();
-        if (since >= 0 && now - since >= params_.detach_after) {
+        if (since >= 0 && now - since >= kDetachAfter) {
           // Radio link failure: network-initiated detach.
           set_attached(imsi, state, false);
         }
@@ -68,7 +78,7 @@ void Mme::poll() {
                hss_.authorize_attach(imsi)) {
       // Coverage restored: run the attach procedure.
       state.reattach_pending = true;
-      sim_.schedule_after(params_.attach_delay, [this, imsi] {
+      sim_.schedule_after(kAttachDelay, [this, imsi] {
         auto it = ues_.find(imsi);
         if (it == ues_.end()) return;
         it->second.reattach_pending = false;
@@ -78,7 +88,7 @@ void Mme::poll() {
       });
     }
   }
-  sim_.schedule_after(params_.poll_interval, [this] { poll(); });
+  sim_.schedule_after(kPollInterval, [this] { poll(); });
 }
 
 bool Mme::attached(Imsi imsi) const {

@@ -18,22 +18,12 @@
 
 namespace tlc::epc {
 
-struct MmeParams {
-  /// Radio-link supervision period.
-  SimTime poll_interval = 500 * kMillisecond;
-  /// Persistent-outage threshold before network-initiated detach
-  /// (the paper's core averaged 5 s).
-  SimTime detach_after = 5 * kSecond;
-  /// Attach procedure latency once coverage returns.
-  SimTime attach_delay = 200 * kMillisecond;
-};
-
 class Mme {
  public:
   /// Fired on EMM state changes so the SPGW / eNodeB / UE can react.
   using StateChangeFn = std::function<void(Imsi, bool attached)>;
 
-  Mme(sim::Simulator& sim, Hss& hss, MmeParams params = {});
+  Mme(sim::Simulator& sim, Hss& hss);
 
   /// Registers a UE and its radio for supervision, then performs the
   /// initial attach (authorized against the HSS).
@@ -63,7 +53,6 @@ class Mme {
 
   sim::Simulator& sim_;
   Hss& hss_;
-  MmeParams params_;
   std::unordered_map<Imsi, UeState> ues_;
   StateChangeFn on_state_change_;
   bool started_ = false;

@@ -3,22 +3,16 @@
 namespace tlc::epc {
 namespace {
 
-std::size_t qci_slot(sim::Qci qci) {
-  switch (qci) {
-    case sim::Qci::kQci3:
-      return 0;
-    case sim::Qci::kQci7:
-      return 1;
-    case sim::Qci::kQci9:
-      return 2;
-  }
-  return 2;
-}
+constexpr std::uint32_t kGatewayAddress =
+    (192u << 24) | (168u << 16) | (2u << 8) | 11u;
+constexpr std::uint16_t kChargingId = 0;
+/// S1-U link to the eNodeB (1 Gbps Ethernet in the paper's testbed).
+constexpr sim::LinkParams kS1Link{1e9, 500 * kMicrosecond, 4u << 20};
 
 }  // namespace
 
 Spgw::Spgw(sim::Simulator& sim, EnodeB& enodeb, SpgwParams params)
-    : sim_(sim), enodeb_(enodeb), params_(params), s1_link_(sim, params.s1_link) {
+    : sim_(sim), enodeb_(enodeb), params_(params), s1_link_(sim, kS1Link) {
   enodeb_.set_uplink_sink([this](Imsi imsi, const sim::Packet& packet) {
     uplink_from_enodeb(imsi, packet);
   });
@@ -45,15 +39,14 @@ bool Spgw::has_session(Imsi imsi) const {
 void Spgw::note_packet(Session& session, const sim::Packet& packet,
                        bool free_class, bool zero_rated, bool replayed) {
   AnomalyCounters& a = session.anomaly;
-  const AnomalyParams& p = params_.anomaly;
   a.protocol_bytes[static_cast<std::size_t>(packet.protocol)] +=
       packet.size_bytes;
-  a.qci_bytes[qci_slot(packet.qci)] += packet.size_bytes;
+  a.qci_bytes[sim::qci_index(packet.qci)] += packet.size_bytes;
 
   // Lazy window roll: the index is a pure function of arrival time, so
   // the detectors never schedule events (and so cannot shift event
   // sequence numbers of adversary-free runs).
-  const std::int64_t window = p.window > 0 ? sim_.now() / p.window : 0;
+  const std::int64_t window = sim_.now() / kAnomalyWindow;
   if (window != session.window_index) {
     session.window_index = window;
     session.window_free_small_packets = 0;
@@ -64,22 +57,21 @@ void Spgw::note_packet(Session& session, const sim::Packet& packet,
     a.free_bytes += packet.size_bytes;
     ++a.free_packets;
     a.entropy_millis_sum += packet.entropy_millis;
-    if (packet.size_bytes <= p.small_packet_bytes) {
+    if (packet.size_bytes <= kSmallPacketBytes) {
       ++a.free_small_packets;
-      if (++session.window_free_small_packets >
-          p.free_small_packets_per_window) {
+      if (++session.window_free_small_packets > kFreeSmallPacketsPerWindow) {
         a.flags |= kAnomalySmallPacketFlood;
       }
     }
-    if (a.free_bytes >= p.entropy_min_free_bytes &&
-        a.mean_free_entropy_millis() >= p.entropy_threshold_millis) {
+    if (a.free_bytes >= kEntropyMinFreeBytes &&
+        a.mean_free_entropy_millis() >= kEntropyThresholdMillis) {
       a.flags |= kAnomalyHighEntropyFreeClass;
     }
   }
   if (zero_rated) {
     a.zero_rated_bytes += packet.size_bytes;
     session.window_zero_rated_bytes += packet.size_bytes;
-    if (session.window_zero_rated_bytes > p.zero_rated_bytes_per_window) {
+    if (session.window_zero_rated_bytes > kZeroRatedBytesPerWindow) {
       a.flags |= kAnomalyZeroRatedVolume;
     }
   }
@@ -183,8 +175,8 @@ ChargingDataRecord Spgw::generate_cdr(Imsi imsi) {
   Session& session = sessions_[imsi];
   ChargingDataRecord cdr;
   cdr.served_imsi = imsi;
-  cdr.gateway_address = params_.gateway_address;
-  cdr.charging_id = params_.charging_id;
+  cdr.gateway_address = kGatewayAddress;
+  cdr.charging_id = kChargingId;
   cdr.sequence_number = session.next_sequence++;
   cdr.time_of_first_usage = session.first_usage < 0 ? 0 : session.first_usage;
   cdr.time_of_last_usage = session.last_usage;

@@ -42,29 +42,28 @@
 
 namespace tlc::epc {
 
-/// Detector thresholds. Defaults are sized so honest workloads (which
-/// emit no free-class or zero-rated traffic at all) can never trip
-/// them, while the ISSUE's tunnel profiles overshoot by an order of
-/// magnitude.
-struct AnomalyParams {
-  /// Detection window; all rate heuristics are per-window. Also the
-  /// period from which the documented leakage bounds derive.
-  SimTime window = kSecond;
-  /// A free-class packet at or under this size counts as "small".
-  std::uint32_t small_packet_bytes = 128;
-  /// Small free-class packets tolerated per window before the flood
-  /// flag fires (generous: real diagnostics send a few per second).
-  std::uint32_t free_small_packets_per_window = 50;
-  /// Zero-rated volume tolerated per window before the abuse flag
-  /// fires.
-  std::uint64_t zero_rated_bytes_per_window = 64 * 1024;
-  /// Mean free-class payload entropy (thousandths) above which the
-  /// tunnel-entropy flag fires...
-  std::uint32_t entropy_threshold_millis = 800;
-  /// ...once at least this much free-class volume has accumulated
-  /// (small samples of legitimate high-entropy DNS are not enough).
-  std::uint64_t entropy_min_free_bytes = 4096;
-};
+// Detector thresholds, fixed at the gateway (the Ghost Traffic
+// adversary faces fixed detectors). They are sized so honest workloads
+// (which emit no free-class or zero-rated traffic at all) can never
+// trip them, while the tunnel profiles overshoot by an order of
+// magnitude.
+
+/// Detection window; all rate heuristics are per-window. Also the
+/// period from which the documented leakage bounds derive.
+inline constexpr SimTime kAnomalyWindow = kSecond;
+/// A free-class packet at or under this size counts as "small".
+inline constexpr std::uint32_t kSmallPacketBytes = 128;
+/// Small free-class packets tolerated per window before the flood flag
+/// fires (generous: real diagnostics send a few per second).
+inline constexpr std::uint32_t kFreeSmallPacketsPerWindow = 50;
+/// Zero-rated volume tolerated per window before the abuse flag fires.
+inline constexpr std::uint64_t kZeroRatedBytesPerWindow = 64 * 1024;
+/// Mean free-class payload entropy (thousandths) above which the
+/// tunnel-entropy flag fires...
+inline constexpr std::uint32_t kEntropyThresholdMillis = 800;
+/// ...once at least this much free-class volume has accumulated (small
+/// samples of legitimate high-entropy DNS are not enough).
+inline constexpr std::uint64_t kEntropyMinFreeBytes = 4096;
 
 /// Per-IMSI detector state, exposed for audit. Everything is exact
 /// integer arithmetic so fleet digests of these counters are
@@ -72,7 +71,7 @@ struct AnomalyParams {
 struct AnomalyCounters {
   /// Volume histogram per transport protocol (index = sim::Protocol).
   std::array<std::uint64_t, sim::kProtocolCount> protocol_bytes{};
-  /// Volume histogram per QCI (index: 0 = QCI3, 1 = QCI7, 2 = QCI9).
+  /// Volume histogram per QCI (index = sim::qci_index).
   std::array<std::uint64_t, 3> qci_bytes{};
   /// Free-class (ICMP/DNS) traffic forwarded uncharged.
   std::uint64_t free_bytes = 0;
@@ -102,12 +101,6 @@ struct AnomalyCounters {
 };
 
 struct SpgwParams {
-  std::uint32_t gateway_address = (192u << 24) | (168u << 16) | (2u << 8) | 11u;
-  std::uint16_t charging_id = 0;
-  /// S1-U link to the eNodeB (1 Gbps Ethernet in the paper's testbed).
-  sim::LinkParams s1_link{1e9, 500 * kMicrosecond, 4u << 20};
-  /// Bypass-detector thresholds (DESIGN.md §13).
-  AnomalyParams anomaly;
   /// Close the free-class gap: count ICMP/DNS like any other traffic.
   /// Off by default — the uncharged free class *is* the legacy gap the
   /// adversarial suite exercises.

@@ -10,6 +10,7 @@
 // protocols score low).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "util/simtime.hpp"
@@ -80,6 +81,20 @@ enum class Qci : std::uint8_t {
       return 300 * kMillisecond;
   }
   return 300 * kMillisecond;
+}
+
+/// Per-QCI slot for arrays indexed by class: QCI 3 / 7 / 9 -> 0 / 1 / 2
+/// (the eNodeB's queues, the gateway's per-QCI volume histogram).
+[[nodiscard]] constexpr std::size_t qci_index(Qci qci) {
+  switch (qci) {
+    case Qci::kQci3:
+      return 0;
+    case Qci::kQci7:
+      return 1;
+    case Qci::kQci9:
+      return 2;
+  }
+  return 2;
 }
 
 struct Packet {

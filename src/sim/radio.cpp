@@ -6,6 +6,12 @@
 #include "sim/loss.hpp"
 
 namespace tlc::sim {
+namespace {
+
+/// Mean-reversion rate per second of the OU process.
+constexpr double kRssReversionPerS = 0.4;
+
+}  // namespace
 
 RadioChannel::RadioChannel(RadioParams params, Rng rng)
     : params_(params), rng_(rng), rss_dbm_(params.mean_rss_dbm) {
@@ -28,9 +34,9 @@ void RadioChannel::step_tick() {
 
   // Ornstein-Uhlenbeck RSS update.
   const double drift =
-      params_.rss_reversion_per_s * (params_.mean_rss_dbm - rss_dbm_) * dt;
+      kRssReversionPerS * (params_.mean_rss_dbm - rss_dbm_) * dt;
   const double diffusion = params_.rss_stddev_db *
-                           std::sqrt(2.0 * params_.rss_reversion_per_s * dt) *
+                           std::sqrt(2.0 * kRssReversionPerS * dt) *
                            rng_.gaussian();
   rss_dbm_ += drift + diffusion;
   rss_dbm_ = std::clamp(rss_dbm_, -140.0, -40.0);

@@ -23,8 +23,6 @@ namespace tlc::sim {
 struct RadioParams {
   double mean_rss_dbm = -90.0;
   double rss_stddev_db = 4.0;
-  /// Mean-reversion rate per second of the OU process.
-  double rss_reversion_per_s = 0.4;
   /// Target fraction of time spent disconnected (η). 0 disables outages.
   double disconnect_ratio = 0.0;
   /// Mean outage episode duration (paper: 1.93 s average).

@@ -1,10 +1,34 @@
 #include "testbed/experiment.hpp"
 
+#include <memory>
+
 #include "charging/plan.hpp"
 #include "core/legacy.hpp"
 #include "core/strategy.hpp"
 
 namespace tlc::testbed {
+namespace {
+
+/// One party's strategy under a TLC scheme.
+std::unique_ptr<core::Strategy> make_strategy(Scheme scheme, Rng& rng) {
+  if (scheme == Scheme::TlcOptimal) {
+    return std::make_unique<core::OptimalStrategy>();
+  }
+  return std::make_unique<core::RandomSelfishStrategy>(rng.fork());
+}
+
+/// Mean of `field` over the cycles `scheme` was evaluated on (0 if none).
+template <typename T>
+double mean_over(const std::map<Scheme, std::vector<CycleOutcome>>& outcomes,
+                 Scheme scheme, T CycleOutcome::*field) {
+  auto it = outcomes.find(scheme);
+  if (it == outcomes.end() || it->second.empty()) return 0.0;
+  double sum = 0.0;
+  for (const CycleOutcome& o : it->second) sum += o.*field;
+  return sum / static_cast<double>(it->second.size());
+}
+
+}  // namespace
 
 const char* scheme_name(Scheme scheme) {
   switch (scheme) {
@@ -24,35 +48,21 @@ CycleOutcome evaluate_scheme(const CycleMeasurements& cycle, Scheme scheme,
   outcome.expected =
       charging::expected_charge(cycle.true_sent, cycle.true_received, c);
 
-  switch (scheme) {
-    case Scheme::Legacy: {
-      outcome.charged = core::legacy_charge(cycle.gateway_volume);
-      break;
-    }
-    case Scheme::TlcOptimal: {
-      core::OptimalStrategy edge;
-      core::OptimalStrategy op;
-      const core::UsageView edge_view{cycle.edge_sent, cycle.edge_received};
-      const core::UsageView op_view{cycle.op_sent, cycle.op_received};
-      const auto result = core::negotiate(edge, edge_view, op, op_view,
-                                          core::NegotiationConfig{c, 64});
-      outcome.charged = result.charged;
-      outcome.rounds = result.rounds;
-      outcome.completed = result.completed;
-      break;
-    }
-    case Scheme::TlcRandom: {
-      core::RandomSelfishStrategy edge(rng.fork());
-      core::RandomSelfishStrategy op(rng.fork());
-      const core::UsageView edge_view{cycle.edge_sent, cycle.edge_received};
-      const core::UsageView op_view{cycle.op_sent, cycle.op_received};
-      const auto result = core::negotiate(edge, edge_view, op, op_view,
-                                          core::NegotiationConfig{c, 64});
-      outcome.charged = result.charged;
-      outcome.rounds = result.rounds;
-      outcome.completed = result.completed;
-      break;
-    }
+  if (scheme == Scheme::Legacy) {
+    outcome.charged = core::legacy_charge(cycle.gateway_volume);
+  } else {
+    // The edge's strategy is built before the operator's: TlcRandom
+    // forks `rng` in that order.
+    std::unique_ptr<core::Strategy> edge = make_strategy(scheme, rng);
+    std::unique_ptr<core::Strategy> op = make_strategy(scheme, rng);
+    const core::UsageView edge_view{cycle.edge_sent, cycle.edge_received};
+    const core::UsageView op_view{cycle.op_sent, cycle.op_received};
+    core::NegotiationConfig config;
+    config.c = c;
+    const auto result = core::negotiate(*edge, edge_view, *op, op_view, config);
+    outcome.charged = result.charged;
+    outcome.rounds = result.rounds;
+    outcome.completed = result.completed;
   }
 
   const std::uint64_t gap_bytes =
@@ -65,27 +75,15 @@ CycleOutcome evaluate_scheme(const CycleMeasurements& cycle, Scheme scheme,
 }
 
 double ExperimentResult::mean_gap_mb_per_hr(Scheme scheme) const {
-  auto it = outcomes.find(scheme);
-  if (it == outcomes.end() || it->second.empty()) return 0.0;
-  double sum = 0.0;
-  for (const CycleOutcome& o : it->second) sum += o.gap_mb_per_hr;
-  return sum / static_cast<double>(it->second.size());
+  return mean_over(outcomes, scheme, &CycleOutcome::gap_mb_per_hr);
 }
 
 double ExperimentResult::mean_gap_ratio(Scheme scheme) const {
-  auto it = outcomes.find(scheme);
-  if (it == outcomes.end() || it->second.empty()) return 0.0;
-  double sum = 0.0;
-  for (const CycleOutcome& o : it->second) sum += o.gap_ratio;
-  return sum / static_cast<double>(it->second.size());
+  return mean_over(outcomes, scheme, &CycleOutcome::gap_ratio);
 }
 
 double ExperimentResult::mean_rounds(Scheme scheme) const {
-  auto it = outcomes.find(scheme);
-  if (it == outcomes.end() || it->second.empty()) return 0.0;
-  double sum = 0.0;
-  for (const CycleOutcome& o : it->second) sum += o.rounds;
-  return sum / static_cast<double>(it->second.size());
+  return mean_over(outcomes, scheme, &CycleOutcome::rounds);
 }
 
 ExperimentResult run_experiment(const ScenarioConfig& config,

@@ -75,13 +75,6 @@ struct ScenarioConfig {
   /// Small-cell parameters (capacity, queue depth, RRC timers).
   epc::EnodebParams enodeb{};
 
-  /// Clock discipline per party as a *fraction of the cycle length*
-  /// (drives the Fig 18 record errors: the paper's coarse cycle sync
-  /// leaves ~1-2% volume error on hour cycles). The testbed converts to
-  /// absolute boundary offsets: stddev = rel * cycle_length.
-  double edge_clock_rel_std = 0.0075;
-  double operator_clock_rel_std = 0.012;
-
   /// §5.4 tamper-resilient monitor on/off (off falls back to nothing —
   /// the operator's received-side view degrades to the gateway count).
   bool enable_counter_check = true;
@@ -95,8 +88,8 @@ struct ScenarioConfig {
 
 /// One member of a fleet population: the per-UE knobs a fleet engine
 /// draws from its shard RNG stream. Everything not listed here (cycle
-/// structure, cell parameters, plan, clock discipline) is inherited
-/// from the fleet's base scenario.
+/// structure, cell parameters, plan) is inherited from the fleet's base
+/// scenario.
 struct FleetMember {
   AppKind app = AppKind::WebcamUdp;
   double mean_rss_dbm = -92.0;

@@ -14,6 +14,13 @@ namespace {
 
 constexpr SimTime kCounterCheckLead = 120 * kMillisecond;
 
+/// Clock discipline per party as a *fraction of the cycle length*
+/// (drives the Fig 18 record errors: the paper's coarse cycle sync
+/// leaves ~1-2% volume error on hour cycles), converted to absolute
+/// boundary offsets: stddev = rel * cycle_length.
+constexpr double kEdgeClockRelStd = 0.0075;
+constexpr double kOperatorClockRelStd = 0.012;
+
 /// Clock offsets are clamped so a boundary sample cannot drift into a
 /// neighbouring cycle's territory entirely.
 SimTime draw_clamped_offset(const charging::ClockModel& model, Rng& rng,
@@ -165,10 +172,8 @@ void UeMeters::on_counter_check(std::uint64_t ul_bytes,
 void UeMeters::schedule_boundaries() {
   const SimTime max_offset = max_boundary_offset(config_.cycle_length);
   const double cycle_s = to_seconds(config_.cycle_length);
-  const charging::ClockModel edge_clock{config_.edge_clock_rel_std * cycle_s,
-                                        0.0};
-  const charging::ClockModel op_clock{
-      config_.operator_clock_rel_std * cycle_s, 0.0};
+  const charging::ClockModel edge_clock{kEdgeClockRelStd * cycle_s, 0.0};
+  const charging::ClockModel op_clock{kOperatorClockRelStd * cycle_s, 0.0};
 
   for (int i = 0; i <= config_.cycles; ++i) {
     const SimTime nominal = static_cast<SimTime>(i) * config_.cycle_length;

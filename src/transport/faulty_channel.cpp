@@ -7,6 +7,11 @@
 namespace tlc::transport {
 namespace {
 
+/// Minimum propagation delay of every copy.
+constexpr std::uint64_t kBaseDelayTicks = 1;
+/// Extra hold of a reordered copy.
+constexpr std::uint64_t kReorderHoldTicks = 12;
+
 // Fixed draw order per message — drop, duplicate, then per-copy
 // (corrupt, truncate, delay jitter, reorder) — so a schedule never
 // shifts when an unrelated rate changes from zero.
@@ -25,12 +30,12 @@ void mutate_copy(const FaultProfile& profile, Rng& rng, Bytes& wire,
     wire.resize(static_cast<std::size_t>(rng.uniform_u64(wire.size())));
     ++stats.truncated;
   }
-  due = now + profile.base_delay_ticks;
+  due = now + kBaseDelayTicks;
   if (profile.delay_jitter_ticks > 0) {
     due += rng.uniform_u64(profile.delay_jitter_ticks + 1);
   }
   if (rng.chance(profile.reorder)) {
-    due += profile.reorder_hold_ticks;
+    due += kReorderHoldTicks;
     ++stats.reordered;
   }
 }
@@ -48,10 +53,12 @@ void FaultyChannel::send(Dir dir, const Bytes& wire, std::uint64_t now) {
   Lane& l = lane(dir);
   ++l.stats.submitted;
   // The whole schedule of message n comes from its own stream: pure in
-  // (seed, dir, n), untouched by other messages or the other lane.
+  // (seed, dir, cycle, n), untouched by other messages, the other lane
+  // or earlier cycles.
   const auto dir_stream = static_cast<std::uint64_t>(dir);
-  Rng rng = sim::stream_rng(sim::stream_seed(seed_, dir_stream),
-                            l.next_msg_stream++);
+  const std::uint64_t msg_stream =
+      (std::uint64_t{cycle_} << 32) | l.next_msg++;
+  Rng rng = sim::stream_rng(sim::stream_seed(seed_, dir_stream), msg_stream);
   if (rng.chance(l.profile.drop)) {
     ++l.stats.dropped;
     return;
@@ -104,9 +111,12 @@ std::size_t FaultyChannel::in_flight() const {
   return lanes_[0].queue.size() + lanes_[1].queue.size();
 }
 
-void FaultyChannel::drain() {
-  lanes_[0].queue.clear();
-  lanes_[1].queue.clear();
+void FaultyChannel::begin_cycle(std::uint32_t cycle) {
+  cycle_ = cycle;
+  for (Lane& l : lanes_) {
+    l.queue.clear();
+    l.next_msg = 0;
+  }
 }
 
 }  // namespace tlc::transport

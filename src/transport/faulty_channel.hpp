@@ -3,11 +3,12 @@
 // Sits between the edge and operator `ProtocolEndpoint`s and subjects
 // every wire message to configurable, per-direction drop, duplication,
 // reordering, delay, truncation and byte corruption. The fault schedule
-// of the n-th message on a direction is a pure function of
-// (seed, direction, n) — derived through sim::stream_seed, never a
+// of the n-th message of cycle c on a direction is a pure function of
+// (seed, direction, c, n) — derived through sim::stream_seed, never a
 // shared RNG sequence or wall clock — so two runs with the same seed
 // inject byte-identical faults regardless of call interleaving or
-// thread count. That is what lets whole fleets run over lossy transport
+// thread count, and how one cycle ends never shifts the faults of the
+// next. That is what lets whole fleets run over lossy transport
 // while preserving the bit-identity-across-thread-counts contract.
 //
 // Time is virtual: the caller stamps send/deliver calls with its own
@@ -23,17 +24,17 @@
 
 namespace tlc::transport {
 
-/// Per-direction fault rates and delay shape. All probabilities are
+/// Per-direction fault rates and delay jitter. All probabilities are
 /// independent per message (duplication composes with corruption etc.).
+/// Every copy takes one tick to propagate, plus a 12-tick hold when
+/// reordered.
 struct FaultProfile {
   double drop = 0.0;       // message vanishes
   double duplicate = 0.0;  // message delivered twice
   double reorder = 0.0;    // copy held back so later sends overtake it
   double corrupt = 0.0;    // 1-3 random bytes XORed
   double truncate = 0.0;   // tail cut off
-  std::uint64_t base_delay_ticks = 1;    // minimum propagation delay
   std::uint64_t delay_jitter_ticks = 0;  // uniform extra [0, jitter]
-  std::uint64_t reorder_hold_ticks = 12; // extra hold when reordered
 
   [[nodiscard]] bool any() const {
     return drop > 0.0 || duplicate > 0.0 || reorder > 0.0 || corrupt > 0.0 ||
@@ -59,7 +60,8 @@ class FaultyChannel {
                 std::uint64_t seed);
 
   /// Submits a message at virtual time `now`; the fault schedule of the
-  /// n-th submission per direction depends only on (seed, dir, n).
+  /// n-th submission of the current cycle per direction depends only on
+  /// (seed, dir, cycle, n).
   void send(Dir dir, const Bytes& wire, std::uint64_t now);
 
   /// All messages due at or before `now`, in (due tick, submission
@@ -70,10 +72,13 @@ class FaultyChannel {
   [[nodiscard]] std::uint64_t earliest_due() const;
   [[nodiscard]] std::size_t in_flight() const;
 
-  /// Discards everything still in flight (cycle boundary: each
-  /// settlement cycle is a fresh transport association, so a delayed
-  /// copy from a finished cycle never leaks into the next one).
-  void drain();
+  /// Starts settlement cycle `cycle`: discards everything still in
+  /// flight and restarts both lanes' message counters. Each cycle is a
+  /// fresh transport association, so a delayed copy from a finished
+  /// cycle never leaks into the next one, and message n of `cycle`
+  /// draws its faults from stream (cycle << 32) | n. A new channel is
+  /// at cycle 0.
+  void begin_cycle(std::uint32_t cycle);
 
   [[nodiscard]] const Stats& stats(Dir dir) const {
     return lanes_[static_cast<std::size_t>(dir)].stats;
@@ -89,7 +94,7 @@ class FaultyChannel {
   };
   struct Lane {
     FaultProfile profile;
-    std::uint64_t next_msg_stream = 0;  // per-direction message stream index
+    std::uint32_t next_msg = 0;  // message index within the cycle
     std::uint64_t next_seq = 0;
     std::vector<InFlight> queue;
     Stats stats;
@@ -98,6 +103,7 @@ class FaultyChannel {
   Lane& lane(Dir dir) { return lanes_[static_cast<std::size_t>(dir)]; }
 
   std::uint64_t seed_;
+  std::uint32_t cycle_ = 0;
   Lane lanes_[2];
 };
 

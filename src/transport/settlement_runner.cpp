@@ -167,8 +167,8 @@ void UeSettlement::settle_cycle(const core::SettlementItem& item,
   }
   // Each cycle is a fresh transport association: leftovers of the
   // previous cycle (late duplicates, reordered stragglers) must not
-  // replay into this one.
-  channel_.drain();
+  // replay into this one, and its faults are its own.
+  channel_.begin_cycle(receipt.cycle);
 
   const std::uint64_t cycle_stream = receipt.cycle;
   SettlementRunner runner(*edge_, *op_, channel_, policy_,

@@ -59,10 +59,9 @@ struct CycleRunResult {
 
 class SettlementRunner {
  public:
-  /// Both sessions must have the cycle armed (begin_cycle) and the
-  /// channel drained of the previous cycle's leftovers. `jitter_seed`
-  /// decorrelates the two parties' retry timers; `start_tick` continues
-  /// the caller's monotonic clock.
+  /// Both sessions and the channel must have the cycle begun
+  /// (begin_cycle). `jitter_seed` decorrelates the two parties' retry
+  /// timers; `start_tick` continues the caller's monotonic clock.
   SettlementRunner(core::TlcSession& edge, core::TlcSession& op,
                    FaultyChannel& channel, RetryPolicy policy,
                    std::uint64_t jitter_seed, std::uint64_t start_tick);

@@ -6,11 +6,32 @@
 namespace tlc::workloads {
 namespace {
 
+/// Pacing jitter of the jittered generators, as a fraction of the mean
+/// inter-packet interval.
+constexpr double kPacingJitter = 0.2;
+
+constexpr double kZeroRatedRateMbps = 1.5;
+constexpr std::uint32_t kZeroRatedPacketBytes = 1200;
+
+constexpr double kFreeRiderRateMbps = 0.5;
+constexpr std::uint32_t kFreeRiderPacketBytes = 1000;
+
+constexpr sim::Protocol kShaperProtocol = sim::Protocol::kIcmp;
+constexpr std::uint32_t kShaperPacketBytes = 120;
+/// Padded/low-rate encoding: entropy below the tunnel threshold.
+constexpr std::uint16_t kShaperEntropyMillis = 550;
+/// Strict pacing, no jitter: ceil keeps the per-window emission count
+/// at or under kShaperPacketsPerWindow, which is the whole point.
+constexpr SimTime kShaperInterval =
+    (kShaperWindow + static_cast<SimTime>(kShaperPacketsPerWindow) - 1) /
+    static_cast<SimTime>(kShaperPacketsPerWindow);
+static_assert(kShaperInterval >= kMicrosecond);
+
 // Jittered inter-packet gap around `mean_s`: uniform in
-// [1 - jitter, 1 + jitter] × mean, floored at 1 µs so a pathological
-// parameter set cannot wedge the event loop.
-SimTime jittered_gap(double mean_s, double jitter, Rng& rng) {
-  const double factor = rng.uniform(1.0 - jitter, 1.0 + jitter);
+// [1 - kPacingJitter, 1 + kPacingJitter] × mean, floored at 1 µs so a
+// pathological parameter set cannot wedge the event loop.
+SimTime jittered_gap(double mean_s, Rng& rng) {
+  const double factor = rng.uniform(1.0 - kPacingJitter, 1.0 + kPacingJitter);
   return std::max<SimTime>(from_seconds(mean_s * factor), kMicrosecond);
 }
 
@@ -83,19 +104,15 @@ void TunnelSource::next_packet() {
   emit(params_.payload_bytes);
   const double mean_s = static_cast<double>(params_.payload_bytes) * 8.0 /
                         (params_.goodput_kbps * 1000.0);
-  sim_.schedule_after(jittered_gap(mean_s, params_.pacing_jitter, rng_),
-                      [this] { next_packet(); });
+  sim_.schedule_after(jittered_gap(mean_s, rng_), [this] { next_packet(); });
 }
 
 // ---- ZeroRatedAbuseSource -------------------------------------------
 
 ZeroRatedAbuseSource::ZeroRatedAbuseSource(sim::Simulator& sim, EmitFn emit,
-                                           std::uint32_t flow_id,
-                                           ZeroRatedAbuseParams params,
-                                           Rng rng)
+                                           std::uint32_t flow_id, Rng rng)
     : PacketSource(sim, std::move(emit), flow_id, sim::Direction::Uplink,
-                   sim::Qci::kQci9, rng),
-      params_(params) {}
+                   sim::Qci::kQci9, rng) {}
 
 void ZeroRatedAbuseSource::start(SimTime at) {
   running_ = true;
@@ -104,21 +121,18 @@ void ZeroRatedAbuseSource::start(SimTime at) {
 
 void ZeroRatedAbuseSource::next_packet() {
   if (!running_) return;
-  emit(params_.packet_bytes);
-  const double mean_s = static_cast<double>(params_.packet_bytes) * 8.0 /
-                        (params_.rate_mbps * 1e6);
-  sim_.schedule_after(jittered_gap(mean_s, params_.pacing_jitter, rng_),
-                      [this] { next_packet(); });
+  emit(kZeroRatedPacketBytes);
+  const double mean_s = static_cast<double>(kZeroRatedPacketBytes) * 8.0 /
+                        (kZeroRatedRateMbps * 1e6);
+  sim_.schedule_after(jittered_gap(mean_s, rng_), [this] { next_packet(); });
 }
 
 // ---- FreeRiderSource ------------------------------------------------
 
 FreeRiderSource::FreeRiderSource(sim::Simulator& sim, EmitFn emit,
-                                 std::uint32_t victim_flow_id,
-                                 FreeRiderParams params, Rng rng)
+                                 std::uint32_t victim_flow_id, Rng rng)
     : PacketSource(sim, std::move(emit), victim_flow_id,
-                   sim::Direction::Uplink, sim::Qci::kQci9, rng),
-      params_(params) {}
+                   sim::Direction::Uplink, sim::Qci::kQci9, rng) {}
 
 void FreeRiderSource::start(SimTime at) {
   running_ = true;
@@ -127,23 +141,20 @@ void FreeRiderSource::start(SimTime at) {
 
 void FreeRiderSource::next_packet() {
   if (!running_) return;
-  emit(params_.packet_bytes);
-  const double mean_s = static_cast<double>(params_.packet_bytes) * 8.0 /
-                        (params_.rate_mbps * 1e6);
-  sim_.schedule_after(jittered_gap(mean_s, params_.pacing_jitter, rng_),
-                      [this] { next_packet(); });
+  emit(kFreeRiderPacketBytes);
+  const double mean_s = static_cast<double>(kFreeRiderPacketBytes) * 8.0 /
+                        (kFreeRiderRateMbps * 1e6);
+  sim_.schedule_after(jittered_gap(mean_s, rng_), [this] { next_packet(); });
 }
 
 // ---- VolumeShaperSource ---------------------------------------------
 
 VolumeShaperSource::VolumeShaperSource(sim::Simulator& sim, EmitFn emit,
-                                       std::uint32_t flow_id,
-                                       VolumeShaperParams params, Rng rng)
+                                       std::uint32_t flow_id, Rng rng)
     : PacketSource(sim, std::move(emit), flow_id, sim::Direction::Uplink,
-                   sim::Qci::kQci9, rng),
-      params_(params) {
-  protocol_ = params_.protocol;
-  entropy_millis_ = params_.entropy_millis;
+                   sim::Qci::kQci9, rng) {
+  protocol_ = kShaperProtocol;
+  entropy_millis_ = kShaperEntropyMillis;
 }
 
 void VolumeShaperSource::start(SimTime at) {
@@ -153,29 +164,15 @@ void VolumeShaperSource::start(SimTime at) {
 
 void VolumeShaperSource::next_packet() {
   if (!running_) return;
-  emit(params_.packet_bytes);
-  // Strict pacing, no jitter: ceil keeps the per-window emission count
-  // at or under packets_per_window, which is the whole point.
-  const SimTime interval =
-      params_.packets_per_window == 0
-          ? params_.window
-          : (params_.window +
-             static_cast<SimTime>(params_.packets_per_window) - 1) /
-                static_cast<SimTime>(params_.packets_per_window);
-  sim_.schedule_after(std::max<SimTime>(interval, kMicrosecond),
-                      [this] { next_packet(); });
+  emit(kShaperPacketBytes);
+  sim_.schedule_after(kShaperInterval, [this] { next_packet(); });
 }
 
-std::uint64_t shaper_leakage_bound(const VolumeShaperParams& params,
-                                   SimTime duration) {
-  if (duration <= 0 || params.packets_per_window == 0) return 0;
-  const SimTime interval = std::max<SimTime>(
-      (params.window + static_cast<SimTime>(params.packets_per_window) - 1) /
-          static_cast<SimTime>(params.packets_per_window),
-      kMicrosecond);
+std::uint64_t shaper_leakage_bound(SimTime duration) {
+  if (duration <= 0) return 0;
   const auto max_packets =
-      static_cast<std::uint64_t>(duration / interval) + 1;
-  return max_packets * params.packet_bytes;
+      static_cast<std::uint64_t>(duration / kShaperInterval) + 1;
+  return max_packets * kShaperPacketBytes;
 }
 
 // ---- Factory --------------------------------------------------------
@@ -195,14 +192,14 @@ std::unique_ptr<TrafficSource> make_adversary(AdversaryKind kind,
       return std::make_unique<TunnelSource>(sim, std::move(emit), flow_id,
                                             dns_tunnel_params(), rng);
     case AdversaryKind::kZeroRatedAbuse:
-      return std::make_unique<ZeroRatedAbuseSource>(
-          sim, std::move(emit), flow_id, ZeroRatedAbuseParams{}, rng);
+      return std::make_unique<ZeroRatedAbuseSource>(sim, std::move(emit),
+                                                    flow_id, rng);
     case AdversaryKind::kFreeRider:
       return std::make_unique<FreeRiderSource>(sim, std::move(emit), flow_id,
-                                               FreeRiderParams{}, rng);
+                                               rng);
     case AdversaryKind::kVolumeShaper:
-      return std::make_unique<VolumeShaperSource>(
-          sim, std::move(emit), flow_id, VolumeShaperParams{}, rng);
+      return std::make_unique<VolumeShaperSource>(sim, std::move(emit),
+                                                  flow_id, rng);
   }
   return nullptr;
 }

@@ -57,8 +57,6 @@ struct TunnelParams {
   /// Payload entropy: mean ± uniform jitter, in thousandths.
   std::uint16_t entropy_mean_millis = 950;
   std::uint16_t entropy_jitter_millis = 30;
-  /// Pacing jitter as a fraction of the mean inter-packet interval.
-  double pacing_jitter = 0.2;
 };
 
 [[nodiscard]] TunnelParams icmp_tunnel_params();
@@ -78,21 +76,14 @@ class TunnelSource final : public PacketSource {
   TunnelParams params_;
 };
 
-/// Bulk transfer mislabeled onto a zero-rated flow: ordinary UDP at a
-/// rate far beyond what any sponsored service needs. The flow itself
-/// must be registered zero-rated at the gateway (the fleet wiring does
-/// this for kZeroRatedAbuse members).
-struct ZeroRatedAbuseParams {
-  double rate_mbps = 1.5;
-  std::uint32_t packet_bytes = 1200;
-  double pacing_jitter = 0.2;
-};
-
+/// Bulk transfer mislabeled onto a zero-rated flow: ordinary UDP at
+/// 1.5 Mbps in 1200-byte packets, far beyond what any sponsored service
+/// needs. The flow itself must be registered zero-rated at the gateway
+/// (the fleet wiring does this for kZeroRatedAbuse members).
 class ZeroRatedAbuseSource final : public PacketSource {
  public:
   ZeroRatedAbuseSource(sim::Simulator& sim, EmitFn emit,
-                       std::uint32_t flow_id, ZeroRatedAbuseParams params,
-                       Rng rng);
+                       std::uint32_t flow_id, Rng rng);
 
   void start(SimTime at) override;
   [[nodiscard]] std::string name() const override {
@@ -101,25 +92,16 @@ class ZeroRatedAbuseSource final : public PacketSource {
 
  private:
   void next_packet();
-
-  ZeroRatedAbuseParams params_;
 };
 
-/// Free-rider: emits ordinary traffic on *another subscriber's* flow
-/// identity (`flow_id` is the victim's). Under flow-based charging the
-/// victim pays; either way the gateway's flow binding flags the
-/// carrier.
-struct FreeRiderParams {
-  double rate_mbps = 0.5;
-  std::uint32_t packet_bytes = 1000;
-  double pacing_jitter = 0.2;
-};
-
+/// Free-rider: emits ordinary traffic (0.5 Mbps in 1000-byte packets)
+/// on *another subscriber's* flow identity (`flow_id` is the victim's).
+/// Under flow-based charging the victim pays; either way the gateway's
+/// flow binding flags the carrier.
 class FreeRiderSource final : public PacketSource {
  public:
   FreeRiderSource(sim::Simulator& sim, EmitFn emit,
-                  std::uint32_t victim_flow_id, FreeRiderParams params,
-                  Rng rng);
+                  std::uint32_t victim_flow_id, Rng rng);
 
   void start(SimTime at) override;
   [[nodiscard]] std::string name() const override {
@@ -128,30 +110,23 @@ class FreeRiderSource final : public PacketSource {
 
  private:
   void next_packet();
-
-  FreeRiderParams params_;
 };
 
-/// Volume shaper: free-class tunnel deliberately tuned to stay under
-/// every detector threshold — fewer small packets per window than the
-/// flood limit, padded low-entropy encoding under the entropy
-/// threshold. It is *designed* to go uncaught; the suite instead
-/// asserts its leak never exceeds shaper_leakage_bound().
-struct VolumeShaperParams {
-  sim::Protocol protocol = sim::Protocol::kIcmp;
-  /// Emissions per detection window. Must stay strictly under the
-  /// gateway's free_small_packets_per_window for the shaper to evade.
-  std::uint32_t packets_per_window = 48;
-  SimTime window = kSecond;
-  std::uint32_t packet_bytes = 120;
-  /// Padded/low-rate encoding: entropy below the tunnel threshold.
-  std::uint16_t entropy_millis = 550;
-};
+/// Volume-shaper emissions per window. Must stay strictly under the
+/// gateway's epc::kFreeSmallPacketsPerWindow for the shaper to evade.
+inline constexpr std::uint32_t kShaperPacketsPerWindow = 48;
+/// The shaper's pacing window: the gateway's detection window.
+inline constexpr SimTime kShaperWindow = kSecond;
 
+/// Volume shaper: free-class (ICMP) tunnel deliberately tuned to stay
+/// under every detector threshold — fewer small packets per window than
+/// the flood limit, padded low-entropy encoding (550 thousandths) under
+/// the entropy threshold. It is *designed* to go uncaught; the suite
+/// instead asserts its leak never exceeds shaper_leakage_bound().
 class VolumeShaperSource final : public PacketSource {
  public:
   VolumeShaperSource(sim::Simulator& sim, EmitFn emit, std::uint32_t flow_id,
-                     VolumeShaperParams params, Rng rng);
+                     Rng rng);
 
   void start(SimTime at) override;
   [[nodiscard]] std::string name() const override {
@@ -160,18 +135,16 @@ class VolumeShaperSource final : public PacketSource {
 
  private:
   void next_packet();
-
-  VolumeShaperParams params_;
 };
 
 /// Upper bound on the bytes a shaper can leak over `duration`: it emits
-/// at most one packet per ceil(window / packets_per_window), so
+/// at most one packet per ceil(kShaperWindow / kShaperPacketsPerWindow),
+/// so
 ///   leak ≤ (duration / interval + 1) × packet_bytes.
 /// This is an *emission* bound; radio loss only shrinks what arrives
 /// at the gateway, so the bound holds end to end (the §13 leakage
 /// argument).
-[[nodiscard]] std::uint64_t shaper_leakage_bound(
-    const VolumeShaperParams& params, SimTime duration);
+[[nodiscard]] std::uint64_t shaper_leakage_bound(SimTime duration);
 
 /// Builds the generator for `kind` (kNone returns nullptr). For
 /// kFreeRider, `flow_id` must be the victim's flow; for every other

@@ -27,11 +27,8 @@ void BackgroundUdpSource::start(SimTime at) {
 void BackgroundUdpSource::next_packet() {
   if (!running_) return;
   emit(params_.packet_bytes);
-  SimTime next = interval_;
-  if (params_.poisson) {
-    next = static_cast<SimTime>(std::max(
-        1.0, rng_.exponential(static_cast<double>(interval_))));
-  }
+  const auto next = static_cast<SimTime>(
+      std::max(1.0, rng_.exponential(static_cast<double>(interval_))));
   sim_.schedule_after(next, [this] { next_packet(); });
 }
 

@@ -6,14 +6,14 @@
 
 namespace tlc::workloads {
 
+/// Arrivals are Poisson (exponential inter-packet gaps around the
+/// rate's mean interval). iperf UDP is nominally CBR, but NIC/driver
+/// batching decorrelates it in practice; near-periodic arrivals
+/// phase-lock with the cell's service period and starve competing
+/// flows unrealistically.
 struct BackgroundParams {
   double rate_mbps = 100.0;
   std::uint32_t packet_bytes = 1400;
-  /// Poisson arrivals (exponential inter-packet gaps). iperf UDP is
-  /// nominally CBR, but NIC/driver batching decorrelates it in
-  /// practice; near-periodic arrivals phase-lock with the cell's
-  /// service period and starve competing flows unrealistically.
-  bool poisson = true;
 };
 
 class BackgroundUdpSource final : public PacketSource {

@@ -4,6 +4,13 @@
 #include <cmath>
 
 namespace tlc::workloads {
+namespace {
+
+constexpr double kTickHz = 30.0;
+constexpr std::uint32_t kUpdateBytesMean = 78;  // tuned for ~0.02 Mbps
+constexpr double kUpdateJitter = 0.25;
+
+}  // namespace
 
 GamingSource::GamingSource(sim::Simulator& sim, EmitFn emit,
                            std::uint32_t flow_id, sim::Direction direction,
@@ -19,15 +26,14 @@ void GamingSource::start(SimTime at) {
 void GamingSource::next_tick() {
   if (!running_) return;
   if (rng_.chance(params_.sync_probability)) {
-    emit(params_.sync_bytes);
+    emit(kGamingSyncBytes);
   } else {
     const double jittered =
-        static_cast<double>(params_.update_bytes_mean) *
-        std::max(0.3, 1.0 + params_.update_jitter * rng_.gaussian());
+        static_cast<double>(kUpdateBytesMean) *
+        std::max(0.3, 1.0 + kUpdateJitter * rng_.gaussian());
     emit(static_cast<std::uint32_t>(std::llround(jittered)));
   }
-  sim_.schedule_after(from_seconds(1.0 / params_.tick_hz),
-                      [this] { next_tick(); });
+  sim_.schedule_after(from_seconds(1.0 / kTickHz), [this] { next_tick(); });
 }
 
 }  // namespace tlc::workloads

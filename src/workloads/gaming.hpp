@@ -11,13 +11,12 @@
 
 namespace tlc::workloads {
 
+/// Size of a world-sync burst.
+inline constexpr std::uint32_t kGamingSyncBytes = 900;
+
 struct GamingParams {
-  double tick_hz = 30.0;
-  std::uint32_t update_bytes_mean = 78;  // tuned for ~0.02 Mbps
-  double update_jitter = 0.25;
   /// Probability a tick carries a world-sync burst instead.
   double sync_probability = 0.01;
-  std::uint32_t sync_bytes = 900;
 };
 
 class GamingSource final : public PacketSource {

@@ -29,22 +29,21 @@ void PacketSource::emit(std::uint32_t size_bytes) {
   emit_fn_(packet);
 }
 
-void PacketSource::emit_frame(std::uint32_t total_bytes, std::uint32_t mtu,
-                              SimTime spacing) {
+void PacketSource::emit_frame(std::uint32_t total_bytes, SimTime spacing) {
   if (total_bytes == 0) return;
-  const std::uint32_t head = std::min(total_bytes, mtu);
+  const std::uint32_t head = std::min(total_bytes, kMtu);
   emit(head);  // head of the frame leaves immediately
-  schedule_frame_drain(total_bytes - head, mtu, spacing);
+  schedule_frame_drain(total_bytes - head, spacing);
 }
 
 void PacketSource::schedule_frame_drain(std::uint32_t remaining_bytes,
-                                        std::uint32_t mtu, SimTime spacing) {
+                                        SimTime spacing) {
   if (remaining_bytes == 0) return;
-  // [this, remaining_bytes, mtu, spacing] is 24 bytes: inline, trivial.
-  sim_.schedule_after(spacing, [this, remaining_bytes, mtu, spacing] {
-    const std::uint32_t chunk = std::min(remaining_bytes, mtu);
+  // [this, remaining_bytes, spacing] is 24 bytes: inline, trivial.
+  sim_.schedule_after(spacing, [this, remaining_bytes, spacing] {
+    const std::uint32_t chunk = std::min(remaining_bytes, kMtu);
     if (running_) emit(chunk);
-    schedule_frame_drain(remaining_bytes - chunk, mtu, spacing);
+    schedule_frame_drain(remaining_bytes - chunk, spacing);
   });
 }
 

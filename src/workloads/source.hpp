@@ -16,6 +16,9 @@
 
 namespace tlc::workloads {
 
+/// Payload MTU the video sources packetize frames at (RTP and GVSP).
+inline constexpr std::uint32_t kMtu = 1400;
+
 class TrafficSource {
  public:
   using EmitFn = std::function<void(const sim::Packet&)>;
@@ -48,14 +51,14 @@ class PacketSource : public TrafficSource {
   /// Emits one packet of `size` bytes now.
   void emit(std::uint32_t size_bytes);
 
-  /// Emits `total` bytes as MTU-sized packets plus a remainder (how a
+  /// Emits `total` bytes as kMtu-sized packets plus a remainder (how a
   /// video frame leaves the encoder). Packets are paced `spacing`
   /// apart: the sender NIC/encoder drains the frame at line rate rather
   /// than in zero time, which matters for drop-tail queues downstream.
   /// Implemented as a single self-rescheduling drain event per frame
   /// rather than one pre-scheduled event per chunk, so the event heap
   /// holds one entry per in-flight frame instead of one per packet.
-  void emit_frame(std::uint32_t total_bytes, std::uint32_t mtu = 1400,
+  void emit_frame(std::uint32_t total_bytes,
                   SimTime spacing = 120 * kMicrosecond);
 
   sim::Simulator& sim_;
@@ -77,8 +80,7 @@ class PacketSource : public TrafficSource {
   /// Each chunk slot consumes its bytes even while the source is
   /// stopped (emission is skipped, pacing continues), matching the
   /// pre-scheduled per-chunk behavior for stop/restart cycles.
-  void schedule_frame_drain(std::uint32_t remaining_bytes, std::uint32_t mtu,
-                            SimTime spacing);
+  void schedule_frame_drain(std::uint32_t remaining_bytes, SimTime spacing);
 
   // Per-instance, namespaced by flow: packet ids stay unique within a
   // simulation without a process-global counter (which would be a data

@@ -4,17 +4,24 @@
 #include <cmath>
 
 namespace tlc::workloads {
+namespace {
+
+constexpr double kMeanBitrateMbps = 9.0;
+constexpr double kFps = 60.0;
+constexpr std::uint32_t kTrailerBytes = 60;
+
+}  // namespace
 
 VrGvspSource::VrGvspSource(sim::Simulator& sim, EmitFn emit,
                            std::uint32_t flow_id, sim::Direction direction,
                            sim::Qci qci, VrGvspParams params, Rng rng)
     : PacketSource(sim, std::move(emit), flow_id, direction, qci, rng),
       params_(params) {
-  const double bytes_per_second = params_.mean_bitrate_mbps * 1e6 / 8.0;
+  const double bytes_per_second = kMeanBitrateMbps * 1e6 / 8.0;
   // Account for the keyframe inflation so the long-run mean matches.
   const double inflation = 1.0 + params_.keyframe_probability *
                                      (params_.keyframe_scale - 1.0);
-  frame_mean_bytes_ = bytes_per_second / params_.fps / inflation;
+  frame_mean_bytes_ = bytes_per_second / kFps / inflation;
 }
 
 void VrGvspSource::start(SimTime at) {
@@ -33,16 +40,14 @@ void VrGvspSource::next_frame() {
   const auto payload = static_cast<std::uint32_t>(std::llround(jittered));
 
   // GVSP framing: leader, paced payload train, trailer.
-  emit(params_.leader_bytes);
-  emit_frame(payload, params_.mtu, params_.packet_spacing);
-  const std::uint32_t payload_packets = (payload + params_.mtu - 1) / params_.mtu;
-  sim_.schedule_after(params_.packet_spacing * (payload_packets + 1),
-                      [this] {
-                        if (running_) emit(params_.trailer_bytes);
-                      });
+  emit(kGvspLeaderBytes);
+  emit_frame(payload, kGvspPacketSpacing);
+  const std::uint32_t payload_packets = (payload + kMtu - 1) / kMtu;
+  sim_.schedule_after(kGvspPacketSpacing * (payload_packets + 1), [this] {
+    if (running_) emit(kTrailerBytes);
+  });
 
-  sim_.schedule_after(from_seconds(1.0 / params_.fps),
-                      [this] { next_frame(); });
+  sim_.schedule_after(from_seconds(1.0 / kFps), [this] { next_frame(); });
 }
 
 }  // namespace tlc::workloads

@@ -12,22 +12,20 @@
 
 namespace tlc::workloads {
 
+/// GVSP leader packet size, sent at frame start.
+inline constexpr std::uint32_t kGvspLeaderBytes = 60;
+/// Intra-frame packet pacing: the sender-side stack drains a frame over
+/// a few ms rather than instantaneously (calibrated so overload loss
+/// matches the paper's Fig 3 levels instead of being amplified by burst
+/// clustering at the drop-tail queue).
+inline constexpr SimTime kGvspPacketSpacing = 280 * kMicrosecond;
+
 struct VrGvspParams {
-  double mean_bitrate_mbps = 9.0;
-  double fps = 60.0;
   /// Frame-to-frame size variability (scene complexity).
   double size_jitter = 0.30;
   /// Occasional large scene-change frames.
   double keyframe_probability = 0.02;
   double keyframe_scale = 2.5;
-  std::uint32_t mtu = 1400;
-  std::uint32_t leader_bytes = 60;
-  std::uint32_t trailer_bytes = 60;
-  /// Intra-frame packet pacing: the sender-side stack drains a frame
-  /// over a few ms rather than instantaneously (calibrated so overload
-  /// loss matches the paper's Fig 3 levels instead of being amplified
-  /// by burst clustering at the drop-tail queue).
-  SimTime packet_spacing = 280 * kMicrosecond;
 };
 
 class VrGvspSource final : public PacketSource {

@@ -4,6 +4,15 @@
 #include <cmath>
 
 namespace tlc::workloads {
+namespace {
+
+constexpr double kFps = 30.0;
+/// I-frame to P-frame size ratio.
+constexpr double kIframeRatio = 6.0;
+/// Frames per GOP (one I-frame each).
+constexpr std::uint32_t kGopFrames = 30;
+
+}  // namespace
 
 WebcamParams webcam_rtsp_params() {
   WebcamParams params;
@@ -26,18 +35,17 @@ WebcamSource::WebcamSource(sim::Simulator& sim, EmitFn emit,
       params_(params),
       name_(std::move(name)) {
   // Solve per-frame sizes from the target bitrate:
-  // (gop-1) P-frames + 1 I-frame (= iframe_ratio * P) per GOP.
+  // (gop-1) P-frames + 1 I-frame (= kIframeRatio * P) per GOP.
   const double bytes_per_second = params_.mean_bitrate_mbps * 1e6 / 8.0;
-  const double gop_seconds =
-      static_cast<double>(params_.gop_frames) / params_.fps;
+  const double gop_seconds = static_cast<double>(kGopFrames) / kFps;
   const double gop_bytes = bytes_per_second * gop_seconds;
-  const double p_frames = static_cast<double>(params_.gop_frames - 1);
-  p_frame_mean_bytes_ = gop_bytes / (p_frames + params_.iframe_ratio);
+  const double p_frames = static_cast<double>(kGopFrames - 1);
+  p_frame_mean_bytes_ = gop_bytes / (p_frames + kIframeRatio);
 }
 
 std::uint32_t WebcamSource::frame_size(bool iframe) {
   const double mean =
-      p_frame_mean_bytes_ * (iframe ? params_.iframe_ratio : 1.0);
+      p_frame_mean_bytes_ * (iframe ? kIframeRatio : 1.0);
   const double jittered =
       mean * std::max(0.25, 1.0 + params_.size_jitter * rng_.gaussian());
   return static_cast<std::uint32_t>(std::llround(jittered));
@@ -51,10 +59,9 @@ void WebcamSource::start(SimTime at) {
 void WebcamSource::next_frame() {
   if (!running_) return;
   const bool iframe = frame_in_gop_ == 0;
-  frame_in_gop_ = (frame_in_gop_ + 1) % params_.gop_frames;
-  emit_frame(frame_size(iframe), params_.mtu);
-  sim_.schedule_after(from_seconds(1.0 / params_.fps),
-                      [this] { next_frame(); });
+  frame_in_gop_ = (frame_in_gop_ + 1) % kGopFrames;
+  emit_frame(frame_size(iframe));
+  sim_.schedule_after(from_seconds(1.0 / kFps), [this] { next_frame(); });
 }
 
 }  // namespace tlc::workloads

@@ -17,14 +17,8 @@ namespace tlc::workloads {
 
 struct WebcamParams {
   double mean_bitrate_mbps = 0.77;  // RTSP default; UDP preset uses 1.73
-  double fps = 30.0;
-  /// I-frame to P-frame size ratio.
-  double iframe_ratio = 6.0;
-  /// Frames per GOP (one I-frame each).
-  std::uint32_t gop_frames = 30;
   /// Relative frame-size jitter (stddev / mean).
   double size_jitter = 0.18;
-  std::uint32_t mtu = 1400;
 };
 
 /// Preset matching the paper's RTSP WebCam numbers.

@@ -46,9 +46,8 @@ FleetConfig soak_fleet(AdversaryKind kind, double fraction, double weak,
 // or its leak is inside the documented bound for its kind.
 void check_record(const UeRecord& record, const std::string& label) {
   const epc::AnomalyCounters& a = record.anomaly;
-  const epc::AnomalyParams detectors;  // gateway defaults
   const auto windows =
-      static_cast<std::uint64_t>(kEmitHorizon / detectors.window) + 1;
+      static_cast<std::uint64_t>(kEmitHorizon / epc::kAnomalyWindow) + 1;
   switch (record.adversary) {
     case AdversaryKind::kNone:
       // Honest members are never flagged and never leak.
@@ -64,7 +63,7 @@ void check_record(const UeRecord& record, const std::string& label) {
       const bool caught =
           (a.flags & (epc::kAnomalySmallPacketFlood |
                       epc::kAnomalyHighEntropyFreeClass)) != 0;
-      EXPECT_TRUE(caught || a.free_bytes < detectors.entropy_min_free_bytes)
+      EXPECT_TRUE(caught || a.free_bytes < epc::kEntropyMinFreeBytes)
           << label << " free_bytes=" << a.free_bytes;
       break;
     }
@@ -73,7 +72,7 @@ void check_record(const UeRecord& record, const std::string& label) {
       const bool caught = (a.flags & epc::kAnomalyZeroRatedVolume) != 0;
       EXPECT_TRUE(caught ||
                   a.zero_rated_bytes <=
-                      windows * detectors.zero_rated_bytes_per_window)
+                      windows * epc::kZeroRatedBytesPerWindow)
           << label << " zero_rated=" << a.zero_rated_bytes;
       break;
     }
@@ -86,9 +85,7 @@ void check_record(const UeRecord& record, const std::string& label) {
     }
     case AdversaryKind::kVolumeShaper: {
       // Designed to evade; its leak is capped by the emission bound.
-      EXPECT_LE(a.free_bytes, workloads::shaper_leakage_bound(
-                                  workloads::VolumeShaperParams{},
-                                  kEmitHorizon))
+      EXPECT_LE(a.free_bytes, workloads::shaper_leakage_bound(kEmitHorizon))
           << label;
       break;
     }

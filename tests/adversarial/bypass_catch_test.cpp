@@ -94,7 +94,6 @@ TEST_F(BypassFixture, ZeroRatedAbuseCaught) {
   build();
   spgw->set_zero_rated(kOverlayFlow);
   workloads::ZeroRatedAbuseSource abuse(sim, sink_for(kAttacker), kOverlayFlow,
-                                        workloads::ZeroRatedAbuseParams{},
                                         Rng(9));
   run(abuse);
 
@@ -109,7 +108,7 @@ TEST_F(BypassFixture, FreeRiderFlagged) {
   build();
   spgw->bind_flow(kVictimFlow, kVictim);
   workloads::FreeRiderSource rider(sim, sink_for(kAttacker), kVictimFlow,
-                                   workloads::FreeRiderParams{}, Rng(10));
+                                   Rng(10));
   run(rider);
 
   const AnomalyCounters a = spgw->anomaly(kAttacker);
@@ -128,7 +127,7 @@ TEST_F(BypassFixture, FlowBasedChargingBillsTheVictim) {
   build(params);
   spgw->bind_flow(kVictimFlow, kVictim);
   workloads::FreeRiderSource rider(sim, sink_for(kAttacker), kVictimFlow,
-                                   workloads::FreeRiderParams{}, Rng(11));
+                                   Rng(11));
   run(rider);
 
   // The gap the binding check exists for: the victim is billed for
@@ -138,11 +137,15 @@ TEST_F(BypassFixture, FlowBasedChargingBillsTheVictim) {
   EXPECT_TRUE(spgw->anomaly(kAttacker).flags & kAnomalyFlowReplay);
 }
 
+// The shaper evades the flood detector only while it paces fewer packets
+// per window than the gateway tolerates, over the same window.
+static_assert(workloads::kShaperPacketsPerWindow < kFreeSmallPacketsPerWindow);
+static_assert(workloads::kShaperWindow == kAnomalyWindow);
+
 TEST_F(BypassFixture, VolumeShaperEvadesButIsBounded) {
   build();
-  const workloads::VolumeShaperParams params;
   workloads::VolumeShaperSource shaper(sim, sink_for(kAttacker), kOverlayFlow,
-                                       params, Rng(12));
+                                       Rng(12));
   run(shaper);
 
   const AnomalyCounters a = spgw->anomaly(kAttacker);
@@ -151,7 +154,7 @@ TEST_F(BypassFixture, VolumeShaperEvadesButIsBounded) {
   EXPECT_EQ(a.flags, 0u);
   // ...but its leak is provably capped by the emission bound.
   EXPECT_GT(a.free_bytes, 0u);
-  EXPECT_LE(a.free_bytes, workloads::shaper_leakage_bound(params, kRunFor));
+  EXPECT_LE(a.free_bytes, workloads::shaper_leakage_bound(kRunFor));
 }
 
 TEST_F(BypassFixture, HonestTrafficRaisesNoFlags) {

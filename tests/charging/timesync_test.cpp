@@ -52,9 +52,9 @@ TEST(TimeSyncTest, BestRttIsPlausible) {
   TimeSyncParams params;
   Rng rng(4);
   const TimeSyncResult result = ntp_sync(params, rng);
-  EXPECT_GE(result.best_rtt_us, 2 * params.one_way_delay_us - 1);
+  EXPECT_GE(result.best_rtt_us, 2 * kOneWayDelayUs - 1);
   EXPECT_LT(result.best_rtt_us,
-            2 * (params.one_way_delay_us + 4 * params.delay_jitter_us));
+            2 * (kOneWayDelayUs + 4 * params.delay_jitter_us));
 }
 
 TEST(TimeSyncTest, DisciplinedClockBeatsRawSkew) {

@@ -98,8 +98,7 @@ TEST_F(MmeFixture, ShortBlipsDoNotDetach) {
 }
 
 TEST_F(MmeFixture, DetachLatencyRoughlyFiveSeconds) {
-  MmeParams params;
-  Mme strict(sim, hss, params);
+  Mme strict(sim, hss);
   // Effectively one permanent outage after a short initial connected
   // episode.
   sim::RadioParams rp;

@@ -141,7 +141,6 @@ TEST(FaultyChannelTest, DuplicateDeliversTwoCopies) {
 TEST(FaultyChannelTest, ReorderHoldsACopyBack) {
   FaultProfile reordering;
   reordering.reorder = 1.0;
-  reordering.reorder_hold_ticks = 12;
   FaultyChannel channel(reordering, {}, 0x12);
   channel.send(FaultyChannel::Dir::ToEdge, msg(1), 0);
   // Without the hold the message would be due at tick 1.
@@ -155,10 +154,76 @@ TEST(FaultyChannelTest, DrainDiscardsInFlight) {
   channel.send(FaultyChannel::Dir::ToEdge, msg(1), 0);
   channel.send(FaultyChannel::Dir::ToOperator, msg(2), 0);
   EXPECT_EQ(channel.in_flight(), 2u);
-  channel.drain();
+  channel.begin_cycle(1);
   EXPECT_EQ(channel.in_flight(), 0u);
   EXPECT_EQ(channel.earliest_due(), FaultyChannel::kIdle);
   EXPECT_TRUE(channel.deliver_due(FaultyChannel::Dir::ToEdge, 100).empty());
+}
+
+// Everything one lane delivers for `count` sends in the current cycle,
+// in delivery order, with the lane's stats deltas.
+struct CycleSchedule {
+  std::vector<Bytes> delivered;
+  std::uint64_t dropped = 0;
+  std::uint64_t duplicated = 0;
+  std::uint64_t corrupted = 0;
+
+  bool operator==(const CycleSchedule&) const = default;
+};
+
+CycleSchedule run_cycle(FaultyChannel& channel, std::uint8_t count) {
+  const auto before = channel.stats(FaultyChannel::Dir::ToOperator);
+  CycleSchedule schedule;
+  for (std::uint8_t i = 0; i < count; ++i) {
+    channel.send(FaultyChannel::Dir::ToOperator, msg(i), /*now=*/i);
+  }
+  schedule.delivered =
+      channel.deliver_due(FaultyChannel::Dir::ToOperator, 1'000);
+  const auto& after = channel.stats(FaultyChannel::Dir::ToOperator);
+  schedule.dropped = after.dropped - before.dropped;
+  schedule.duplicated = after.duplicated - before.duplicated;
+  schedule.corrupted = after.corrupted - before.corrupted;
+  return schedule;
+}
+
+FaultProfile cross_cycle_profile() {
+  FaultProfile lossy;
+  lossy.drop = 0.3;
+  lossy.duplicate = 0.2;
+  lossy.reorder = 0.2;
+  lossy.corrupt = 0.3;
+  lossy.delay_jitter_ticks = 3;
+  return lossy;
+}
+
+TEST(FaultyChannelTest, CycleScheduleIgnoresHowThePreviousCycleEnded) {
+  // Cycle 0 sends 1 message on one channel and 5 on the other; cycle 1
+  // must see the same faults on both.
+  FaultyChannel short_cycle({}, cross_cycle_profile(), 0x14);
+  FaultyChannel long_cycle({}, cross_cycle_profile(), 0x14);
+  (void)run_cycle(short_cycle, 1);
+  (void)run_cycle(long_cycle, 5);
+  short_cycle.begin_cycle(1);
+  long_cycle.begin_cycle(1);
+  const CycleSchedule a = run_cycle(short_cycle, 16);
+  const CycleSchedule b = run_cycle(long_cycle, 16);
+  EXPECT_EQ(a, b);
+  EXPECT_GT(a.dropped + a.duplicated + a.corrupted, 0u);
+}
+
+TEST(FaultyChannelTest, CycleZeroIsTheFreshChannelSchedule) {
+  FaultyChannel fresh({}, cross_cycle_profile(), 0x15);
+  FaultyChannel restarted({}, cross_cycle_profile(), 0x15);
+  (void)run_cycle(restarted, 7);
+  restarted.begin_cycle(0);
+  EXPECT_EQ(run_cycle(fresh, 16), run_cycle(restarted, 16));
+}
+
+TEST(FaultyChannelTest, CyclesDrawDistinctSchedules) {
+  FaultyChannel first({}, cross_cycle_profile(), 0x16);
+  FaultyChannel second({}, cross_cycle_profile(), 0x16);
+  second.begin_cycle(1);
+  EXPECT_NE(run_cycle(first, 16), run_cycle(second, 16));
 }
 
 }  // namespace

@@ -164,7 +164,7 @@ TEST_F(SettlementGoldenTest, StopAndWaitFaulty) {
                             small_->keys)
             .settle(small_->items, threads);
       },
-      "86d9659ce0e333ce80eab34dc2f599ffd765ccadbb4b0e024d4cf1993ec3d738");
+      "4ce3c25e8cad5ebf1c41782df83537c4cf3c97554711d30333d16e2dd40c97f3");
 }
 
 TEST_F(SettlementGoldenTest, CodedZeroFault) {
@@ -186,7 +186,7 @@ TEST_F(SettlementGoldenTest, CodedFaulty) {
                             small_->keys)
             .settle(small_->items, threads);
       },
-      "8351dd69fe90e9b2ba15b4639a398073eeda209c0124e386a6cd504acd37a4f2");
+      "76ba3695dd0a3de165564512061c95df80416378013e88433036f4f12591c79e");
 }
 
 TEST_F(SettlementGoldenTest, CodedHopelessLinkFallsBackWholeGroups) {
@@ -195,7 +195,7 @@ TEST_F(SettlementGoldenTest, CodedHopelessLinkFallsBackWholeGroups) {
         return CodedSettler(small_->batch(), hopeless_transport(), small_->keys)
             .settle(small_->items, threads);
       },
-      "fe31209762c646eb08b7204fdf50cb039653db0bd95e27765210bedda1c5b033");
+      "70192ea58feabfdd827884b20a83fa86b9241cfac2633806140f19f0ae7bff77");
 }
 
 TEST_F(SettlementGoldenTest, ItemsAreTheDenseCellSmokeSet) {

@@ -58,7 +58,7 @@ TEST(GamingTest, SyncBurstsAppear) {
   GamingSource source(
       sim,
       [&](const sim::Packet& p) {
-        if (p.size_bytes == params.sync_bytes) ++syncs;
+        if (p.size_bytes == kGamingSyncBytes) ++syncs;
       },
       1, sim::Direction::Downlink, sim::Qci::kQci7, params, Rng(4));
   source.start(0);

@@ -30,10 +30,10 @@ TEST(VrGvspTest, SixtyFramesPerSecond) {
   source.start(0);
   sim.run_until(5 * kSecond);
   source.stop();
-  // Count leader packets (size == leader_bytes at frame start).
+  // Count leader packets (size == kGvspLeaderBytes at frame start).
   int leaders = 0;
   for (const auto& p : packets) {
-    if (p.size_bytes == VrGvspParams{}.leader_bytes) ++leaders;
+    if (p.size_bytes == kGvspLeaderBytes) ++leaders;
   }
   // Leaders + trailers share the size; each frame contributes two.
   EXPECT_NEAR(leaders, 2 * 60 * 5, 12);
@@ -53,11 +53,11 @@ TEST(VrGvspTest, GvspFramingLeaderPayloadTrailer) {
   source.stop();
   ASSERT_GT(packets.size(), 10u);
   // First packet of the stream is the leader.
-  EXPECT_EQ(packets.front().size_bytes, params.leader_bytes);
+  EXPECT_EQ(packets.front().size_bytes, kGvspLeaderBytes);
   // Payload packets are MTU-sized except the last of each frame.
   int full_mtu = 0;
   for (const auto& p : packets) {
-    if (p.size_bytes == params.mtu) ++full_mtu;
+    if (p.size_bytes == kMtu) ++full_mtu;
   }
   EXPECT_GT(full_mtu, 5);
 }
@@ -77,7 +77,7 @@ TEST(VrGvspTest, PayloadIsPacedNotInstant) {
   // the pacing interval, not emitted at one instant.
   bool any_spacing = false;
   for (std::size_t i = 1; i < stamps.size(); ++i) {
-    if (stamps[i] - stamps[i - 1] == params.packet_spacing) {
+    if (stamps[i] - stamps[i - 1] == kGvspPacketSpacing) {
       any_spacing = true;
     }
   }
@@ -100,8 +100,8 @@ TEST(VrGvspTest, KeyframesInflateOccasionally) {
   // Group into frames by leader packets and compare sizes.
   std::vector<std::uint64_t> frames;
   for (const auto& p : packets) {
-    if (p.size_bytes == params.leader_bytes && !frames.empty() &&
-        frames.back() > params.leader_bytes * 2) {
+    if (p.size_bytes == kGvspLeaderBytes && !frames.empty() &&
+        frames.back() > kGvspLeaderBytes * 2) {
       frames.push_back(0);
     } else {
       if (frames.empty()) frames.push_back(0);
