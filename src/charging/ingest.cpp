@@ -13,64 +13,26 @@ namespace {
 /// parse the commitment cannot check any proof against it.
 constexpr std::uint8_t kBatchWireVersion = 1;
 
-constexpr std::size_t kCdrLeafSize = 70;
+constexpr std::size_t kCdrLeafSize = epc::kFullCdrSize;
 constexpr std::size_t kRootSize = 32;
 
 }  // namespace
 
-// tlclint: codec(charging_cdr_leaf, encode, version=kBatchWireVersion)
+// A leaf is one full-width CDR (the epc_cdr_full codec) and nothing
+// else, so its framing adds no schema of its own.
+// tlclint: allow(schema-coverage) one epc_cdr_full record
 Bytes encode_cdr_leaf(const epc::ChargingDataRecord& cdr) {
-  // Full-width, field-for-field the OFCS journal layout: 8 (imsi) +
-  // 4 (gw) + 2 (charging id) + 4 (seq) + 8 (first) + 8 (last) + 8 (ul)
-  // + 8 (dl) + 8 (uncharged ul) + 8 (uncharged dl) + 4 (flags) = 70.
   ByteWriter w;
-  w.u64(cdr.served_imsi.value);
-  w.u32(cdr.gateway_address);
-  w.u16(cdr.charging_id);
-  w.u32(cdr.sequence_number);
-  w.i64(cdr.time_of_first_usage);
-  w.i64(cdr.time_of_last_usage);
-  w.u64(cdr.datavolume_uplink);
-  w.u64(cdr.datavolume_downlink);
-  w.u64(cdr.uncharged_uplink);
-  w.u64(cdr.uncharged_downlink);
-  w.u32(cdr.anomaly_flags);
+  epc::write_cdr(w, cdr);
   return w.take();
 }
 
-// tlclint: codec(charging_cdr_leaf, decode, version=kBatchWireVersion)
+// tlclint: allow(schema-coverage) one epc_cdr_full record
 Expected<epc::ChargingDataRecord> decode_cdr_leaf(const Bytes& wire) {
   if (wire.size() != kCdrLeafSize) return Err("cdr leaf: wrong size");
+  // The exact size leaves no read below short.
   ByteReader r(wire);
-  epc::ChargingDataRecord cdr;
-  auto imsi = r.u64();
-  auto gateway = r.u32();
-  auto charging_id = r.u16();
-  auto sequence = r.u32();
-  auto first = r.i64();
-  auto last = r.i64();
-  auto uplink = r.u64();
-  auto downlink = r.u64();
-  auto uncharged_ul = r.u64();
-  auto uncharged_dl = r.u64();
-  auto anomaly_flags = r.u32();
-  if (!imsi || !gateway || !charging_id || !sequence || !first || !last ||
-      !uplink || !downlink || !uncharged_ul || !uncharged_dl ||
-      !anomaly_flags) {
-    return Err("cdr leaf: truncated");
-  }
-  cdr.served_imsi.value = *imsi;
-  cdr.gateway_address = *gateway;
-  cdr.charging_id = *charging_id;
-  cdr.sequence_number = *sequence;
-  cdr.time_of_first_usage = *first;
-  cdr.time_of_last_usage = *last;
-  cdr.datavolume_uplink = *uplink;
-  cdr.datavolume_downlink = *downlink;
-  cdr.uncharged_uplink = *uncharged_ul;
-  cdr.uncharged_downlink = *uncharged_dl;
-  cdr.anomaly_flags = *anomaly_flags;
-  return cdr;
+  return epc::read_cdr(r);
 }
 
 // tlclint: codec(charging_batch_commitment, encode, version=kBatchWireVersion)
@@ -104,27 +66,18 @@ Bytes encode_batch_poc(const BatchPoc& poc) {
 // tlclint: codec(charging_batch_poc, decode, version=kBatchWireVersion)
 Expected<BatchPoc> decode_batch_poc(const Bytes& wire) {
   ByteReader r(wire);
-  auto version = r.u8();
-  if (!version) return Err("batch poc: truncated");
-  if (*version != kBatchWireVersion) return Err("batch poc: bad version");
-  auto batch_seq = r.u64();
-  auto leaf_count = r.u32();
-  auto first = r.i64();
-  auto last = r.i64();
-  auto root = r.blob();
-  auto signature = r.blob();
-  if (!batch_seq || !leaf_count || !first || !last || !root || !signature) {
-    return Err("batch poc: truncated");
-  }
-  if (root->size() != kRootSize) return Err("batch poc: bad root size");
-  if (!r.exhausted()) return Err("batch poc: trailing bytes");
+  if (r.u8() != kBatchWireVersion) r.fail("batch poc: bad version");
   BatchPoc poc;
-  poc.batch_seq = *batch_seq;
-  poc.leaf_count = *leaf_count;
-  poc.first_usage = *first;
-  poc.last_usage = *last;
-  std::copy(root->begin(), root->end(), poc.root.begin());
-  poc.signature = std::move(*signature);
+  poc.batch_seq = r.u64();
+  poc.leaf_count = r.u32();
+  poc.first_usage = r.i64();
+  poc.last_usage = r.i64();
+  const Bytes root = r.blob();
+  poc.signature = r.blob();
+  if (root.size() != kRootSize) r.fail("batch poc: bad root size");
+  if (!r.ok()) return r.error_or("batch poc: truncated");
+  if (!r.exhausted()) return Err("batch poc: trailing bytes");
+  std::copy(root.begin(), root.end(), poc.root.begin());
   return poc;
 }
 
@@ -145,36 +98,26 @@ Bytes encode_inclusion_proof(const InclusionProof& proof) {
 // tlclint: codec(charging_inclusion_proof, decode, version=kBatchWireVersion)
 Expected<InclusionProof> decode_inclusion_proof(const Bytes& wire) {
   ByteReader r(wire);
-  auto version = r.u8();
-  if (!version) return Err("inclusion proof: truncated");
-  if (*version != kBatchWireVersion) {
-    return Err("inclusion proof: bad version");
-  }
-  auto batch_seq = r.u64();
-  auto leaf_index = r.u32();
-  auto leaf_count = r.u32();
-  auto depth = r.u32();
-  if (!batch_seq || !leaf_index || !leaf_count || !depth) {
-    return Err("inclusion proof: truncated");
-  }
-  // A 32-bit leaf count caps real depth at 32; anything larger is a
-  // forged header, rejected before allocating.
-  if (*depth > 64) return Err("inclusion proof: depth implausible");
+  if (r.u8() != kBatchWireVersion) r.fail("inclusion proof: bad version");
   InclusionProof proof;
-  proof.batch_seq = *batch_seq;
-  proof.merkle.leaf_index = *leaf_index;
-  proof.merkle.leaf_count = *leaf_count;
-  proof.merkle.path.reserve(*depth);
-  for (std::uint32_t i = 0; i < *depth; ++i) {
-    auto hash = r.blob();
-    if (!hash) return Err("inclusion proof: truncated path");
-    if (hash->size() != kRootSize) {
-      return Err("inclusion proof: bad path hash size");
+  proof.batch_seq = r.u64();
+  proof.merkle.leaf_index = r.u32();
+  proof.merkle.leaf_count = r.u32();
+  // Each path hash is a length-prefixed 32-byte blob.
+  const std::uint32_t depth = r.count(4 + kRootSize);
+  // A 32-bit leaf count caps real depth at 32; anything larger is a
+  // forged header.
+  if (depth > 64) r.fail("inclusion proof: depth implausible");
+  proof.merkle.path.resize(depth);
+  for (crypto::MerkleHash& node : proof.merkle.path) {
+    const Bytes hash = r.blob();
+    if (hash.size() != kRootSize) {
+      r.fail("inclusion proof: bad path hash size");
+      break;
     }
-    crypto::MerkleHash node;
-    std::copy(hash->begin(), hash->end(), node.begin());
-    proof.merkle.path.push_back(node);
+    std::copy(hash.begin(), hash.end(), node.begin());
   }
+  if (!r.ok()) return r.error_or("inclusion proof: truncated");
   if (!r.exhausted()) return Err("inclusion proof: trailing bytes");
   return proof;
 }

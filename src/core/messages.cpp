@@ -17,34 +17,24 @@ void write_plan(ByteWriter& w, const PlanRef& plan) {
   w.f64(plan.c);
 }
 
-Expected<PlanRef> read_plan(ByteReader& r) {
+PlanRef read_plan(ByteReader& r) {
   PlanRef plan;
-  auto start = r.i64();
-  if (!start) return Err(start.error());
-  auto end = r.i64();
-  if (!end) return Err(end.error());
-  auto c = r.f64();
-  if (!c) return Err(c.error());
-  plan.t_start = *start;
-  plan.t_end = *end;
-  plan.c = *c;
+  plan.t_start = r.i64();
+  plan.t_end = r.i64();
+  plan.c = r.f64();
   return plan;
 }
 
-Expected<PartyRole> read_role(ByteReader& r) {
-  auto raw = r.u8();
-  if (!raw) return Err(raw.error());
-  if (*raw > 1) return Err("message: invalid party role");
-  return static_cast<PartyRole>(*raw);
+PartyRole read_role(ByteReader& r) {
+  const std::uint8_t raw = r.u8();
+  if (raw > 1) r.fail("message: invalid party role");
+  return static_cast<PartyRole>(raw);
 }
 
-Status check_type(ByteReader& r, MessageType expected, const char* what) {
-  auto type = r.u8();
-  if (!type) return Err(type.error());
-  if (*type != static_cast<std::uint8_t>(expected)) {
-    return Err(std::string(what) + ": wrong message type byte");
+void check_type(ByteReader& r, MessageType expected) {
+  if (r.u8() != static_cast<std::uint8_t>(expected)) {
+    r.fail("wrong message type byte");
   }
-  return Status::Ok();
 }
 
 }  // namespace
@@ -88,33 +78,20 @@ Bytes encode_signed_cdr(const SignedCdr& cdr) {
 Expected<SignedCdr> decode_signed_cdr(const Bytes& wire) {
   // tlclint: codec(msg_signed_cdr, decode, version=kMessageWireVersion)
   ByteReader outer(wire);
-  auto body_bytes = outer.blob();
-  if (!body_bytes) return Err("cdr: " + body_bytes.error());
-  auto signature = outer.blob();
-  if (!signature) return Err("cdr: " + signature.error());
+  const Bytes body = outer.blob();
+  SignedCdr cdr;
+  cdr.signature = outer.blob();
+  if (!outer.ok()) return Err("cdr: " + outer.error());
 
   // tlclint: codec(msg_cdr_body, decode, version=kMessageWireVersion)
-  ByteReader r(*body_bytes);
-  if (auto s = check_type(r, MessageType::Cdr, "cdr"); !s) {
-    return Err(s.error());
-  }
-  SignedCdr cdr;
-  auto plan = read_plan(r);
-  if (!plan) return Err("cdr: " + plan.error());
-  cdr.body.plan = *plan;
-  auto role = read_role(r);
-  if (!role) return Err("cdr: " + role.error());
-  cdr.body.sender = *role;
-  auto seq = r.u64();
-  if (!seq) return Err("cdr: " + seq.error());
-  cdr.body.seq = *seq;
-  auto nonce = r.u64();
-  if (!nonce) return Err("cdr: " + nonce.error());
-  cdr.body.nonce = *nonce;
-  auto volume = r.u64();
-  if (!volume) return Err("cdr: " + volume.error());
-  cdr.body.volume = *volume;
-  cdr.signature = std::move(*signature);
+  ByteReader r(body);
+  check_type(r, MessageType::Cdr);
+  cdr.body.plan = read_plan(r);
+  cdr.body.sender = read_role(r);
+  cdr.body.seq = r.u64();
+  cdr.body.nonce = r.u64();
+  cdr.body.volume = r.u64();
+  if (!r.ok()) return Err("cdr: " + r.error());
   return cdr;
 }
 
@@ -153,36 +130,21 @@ Bytes encode_signed_cda(const SignedCda& cda) {
 Expected<SignedCda> decode_signed_cda(const Bytes& wire) {
   // tlclint: codec(msg_signed_cda, decode, version=kMessageWireVersion)
   ByteReader outer(wire);
-  auto body_bytes = outer.blob();
-  if (!body_bytes) return Err("cda: " + body_bytes.error());
-  auto signature = outer.blob();
-  if (!signature) return Err("cda: " + signature.error());
+  const Bytes body = outer.blob();
+  SignedCda cda;
+  cda.signature = outer.blob();
+  if (!outer.ok()) return Err("cda: " + outer.error());
 
   // tlclint: codec(msg_cda_body, decode, version=kMessageWireVersion)
-  ByteReader r(*body_bytes);
-  if (auto s = check_type(r, MessageType::Cda, "cda"); !s) {
-    return Err(s.error());
-  }
-  SignedCda cda;
-  auto plan = read_plan(r);
-  if (!plan) return Err("cda: " + plan.error());
-  cda.body.plan = *plan;
-  auto role = read_role(r);
-  if (!role) return Err("cda: " + role.error());
-  cda.body.sender = *role;
-  auto seq = r.u64();
-  if (!seq) return Err("cda: " + seq.error());
-  cda.body.seq = *seq;
-  auto nonce = r.u64();
-  if (!nonce) return Err("cda: " + nonce.error());
-  cda.body.nonce = *nonce;
-  auto volume = r.u64();
-  if (!volume) return Err("cda: " + volume.error());
-  cda.body.volume = *volume;
-  auto peer = r.blob();
-  if (!peer) return Err("cda: " + peer.error());
-  cda.body.peer_cdr_wire = std::move(*peer);
-  cda.signature = std::move(*signature);
+  ByteReader r(body);
+  check_type(r, MessageType::Cda);
+  cda.body.plan = read_plan(r);
+  cda.body.sender = read_role(r);
+  cda.body.seq = r.u64();
+  cda.body.nonce = r.u64();
+  cda.body.volume = r.u64();
+  cda.body.peer_cdr_wire = r.blob();
+  if (!r.ok()) return Err("cda: " + r.error());
   return cda;
 }
 
@@ -228,39 +190,22 @@ Bytes encode_signed_poc(const SignedPoc& poc) {
 Expected<SignedPoc> decode_signed_poc(const Bytes& wire) {
   // tlclint: codec(msg_signed_poc, decode, version=kMessageWireVersion)
   ByteReader outer(wire);
-  auto body_bytes = outer.blob();
-  if (!body_bytes) return Err("poc: " + body_bytes.error());
-  auto signature = outer.blob();
-  if (!signature) return Err("poc: " + signature.error());
-  auto nonce_e = outer.u64();
-  if (!nonce_e) return Err("poc: " + nonce_e.error());
-  auto nonce_o = outer.u64();
-  if (!nonce_o) return Err("poc: " + nonce_o.error());
+  const Bytes body = outer.blob();
+  SignedPoc poc;
+  poc.signature = outer.blob();
+  poc.nonce_edge = outer.u64();
+  poc.nonce_operator = outer.u64();
+  if (!outer.ok()) return Err("poc: " + outer.error());
 
   // tlclint: codec(msg_poc_body, decode, version=kMessageWireVersion)
-  ByteReader r(*body_bytes);
-  if (auto s = check_type(r, MessageType::Poc, "poc"); !s) {
-    return Err(s.error());
-  }
-  SignedPoc poc;
-  auto plan = read_plan(r);
-  if (!plan) return Err("poc: " + plan.error());
-  poc.body.plan = *plan;
-  auto role = read_role(r);
-  if (!role) return Err("poc: " + role.error());
-  poc.body.sender = *role;
-  auto seq = r.u64();
-  if (!seq) return Err("poc: " + seq.error());
-  poc.body.seq = *seq;
-  auto charged = r.u64();
-  if (!charged) return Err("poc: " + charged.error());
-  poc.body.charged = *charged;
-  auto cda = r.blob();
-  if (!cda) return Err("poc: " + cda.error());
-  poc.body.cda_wire = std::move(*cda);
-  poc.signature = std::move(*signature);
-  poc.nonce_edge = *nonce_e;
-  poc.nonce_operator = *nonce_o;
+  ByteReader r(body);
+  check_type(r, MessageType::Poc);
+  poc.body.plan = read_plan(r);
+  poc.body.sender = read_role(r);
+  poc.body.seq = r.u64();
+  poc.body.charged = r.u64();
+  poc.body.cda_wire = r.blob();
+  if (!r.ok()) return Err("poc: " + r.error());
   return poc;
 }
 

@@ -1,7 +1,5 @@
 #include "core/poc_store.hpp"
 
-#include <algorithm>
-
 #include "crypto/hmac.hpp"
 #include "recovery/crc32c.hpp"
 #include "util/fileio.hpp"
@@ -19,8 +17,8 @@ constexpr std::uint32_t kStoreMagic = 0x544c4350;  // "TLCP"
 constexpr std::uint32_t kStoreVersion = 3;
 constexpr std::size_t kTagBytes = 32;
 /// Encoded size of the smallest archive entry: CRC, body length, then a
-/// body of kind, t_start, t_end, c and an empty PoC's length. Caps the
-/// reserve a claimed entry count can ask for.
+/// body of kind, t_start, t_end, c and an empty PoC's length; the entry
+/// count is read through ByteReader::count() with it.
 constexpr std::size_t kMinEncodedEntrySize = 4 + 4 + 1 + 8 + 8 + 8 + 4;
 
 Bytes integrity_key() { return bytes_of("tlc-poc-store-integrity-v1"); }
@@ -40,23 +38,24 @@ Bytes encode_entry_body(const PocStore::Entry& entry) {
 Expected<PocStore::Entry> decode_entry_body(const Bytes& body) {
   ByteReader r(body);
   PocStore::Entry entry;
-  auto kind = r.u8();
-  auto start = r.i64();
-  auto end = r.i64();
-  auto c = r.f64();
-  if (!kind || !start || !end || !c) return Err("poc store: truncated entry");
-  if (*kind > static_cast<std::uint8_t>(PocKind::Batch)) {
-    return Err("poc store: unknown entry kind");
+  const std::uint8_t kind = r.u8();
+  if (kind > static_cast<std::uint8_t>(PocKind::Batch)) {
+    r.fail("poc store: unknown entry kind");
   }
-  entry.kind = static_cast<PocKind>(*kind);
-  entry.plan.t_start = *start;
-  entry.plan.t_end = *end;
-  entry.plan.c = *c;
-  auto wire = r.blob();
-  if (!wire) return Err("poc store: " + wire.error());
+  entry.kind = static_cast<PocKind>(kind);
+  entry.plan.t_start = r.i64();
+  entry.plan.t_end = r.i64();
+  entry.plan.c = r.f64();
+  entry.poc_wire = r.blob();
+  if (!r.ok()) return r.error_or("poc store: truncated entry");
   if (!r.exhausted()) return Err("poc store: trailing entry bytes");
-  entry.poc_wire = std::move(*wire);
   return entry;
+}
+
+/// Reads the archive header; a damaged one latches on `r`.
+void read_header(ByteReader& r) {
+  if (r.u32() != kStoreMagic) r.fail("poc store: bad magic");
+  if (r.u32() != kStoreVersion) r.fail("poc store: unsupported version");
 }
 
 }  // namespace
@@ -128,29 +127,21 @@ Expected<PocStore> PocStore::deserialize(const Bytes& data) {
     return Err("poc store: integrity tag mismatch");
   }
   ByteReader r(body);
-  auto magic = r.u32();
-  if (!magic || *magic != kStoreMagic) return Err("poc store: bad magic");
-  auto version = r.u32();
-  if (!version || *version != kStoreVersion) {
-    return Err("poc store: unsupported version");
-  }
-  auto count = r.u32();
-  if (!count) return Err("poc store: " + count.error());
+  read_header(r);
   PocStore store;
-  store.entries_.reserve(
-      std::min<std::size_t>(*count, r.remaining() / kMinEncodedEntrySize));
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto crc = r.u32();
-    if (!crc) return Err("poc store: " + crc.error());
-    auto entry_body = r.blob();
-    if (!entry_body) return Err("poc store: " + entry_body.error());
-    if (recovery::crc32c(*entry_body) != *crc) {
+  store.entries_.resize(r.count(kMinEncodedEntrySize));
+  for (Entry& entry : store.entries_) {
+    const std::uint32_t crc = r.u32();
+    const Bytes entry_body = r.blob();
+    if (!r.ok()) break;
+    if (recovery::crc32c(entry_body) != crc) {
       return Err("poc store: entry CRC mismatch");
     }
-    auto entry = decode_entry_body(*entry_body);
-    if (!entry) return Err(entry.error());
-    store.entries_.push_back(std::move(*entry));
+    auto decoded = decode_entry_body(entry_body);
+    if (!decoded) return Err(decoded.error());
+    entry = std::move(*decoded);
   }
+  if (!r.ok()) return r.error_or("poc store: truncated archive");
   return store;
 }
 
@@ -183,29 +174,27 @@ Expected<PocStore::Salvage> PocStore::load_salvage(const std::string& path) {
   // Headers have no redundancy to salvage from — a damaged one is
   // still a hard error. Everything past it degrades per entry.
   ByteReader r(body);
-  auto magic = r.u32();
-  if (!magic || *magic != kStoreMagic) return Err("poc store: bad magic");
-  auto version = r.u32();
-  if (!version || *version != kStoreVersion) {
-    return Err("poc store: unsupported version");
-  }
-  auto count = r.u32();
-  if (!count) return Err("poc store: " + count.error());
+  read_header(r);
+  // Salvage counts what a truncation lost, so the entry count is read
+  // raw: the loop below stops at the first short read.
+  // tlclint: allow(wire-count) the skipped tail is counted, not read
+  const std::uint32_t count = r.u32();
+  if (!r.ok()) return r.error_or("poc store: truncated header");
 
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto crc = r.u32();
-    auto entry_body = crc ? r.blob() : Expected<Bytes>(Err("short"));
-    if (!crc || !entry_body) {
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const std::uint32_t crc = r.u32();
+    const Bytes entry_body = r.blob();
+    if (!r.ok()) {
       // Truncated mid-entry: the frame boundary is gone, so every
       // remaining entry is unrecoverable too.
-      salvage.entries_skipped += *count - i;
+      salvage.entries_skipped += count - i;
       break;
     }
-    if (recovery::crc32c(*entry_body) != *crc) {
+    if (recovery::crc32c(entry_body) != crc) {
       ++salvage.entries_skipped;
       continue;
     }
-    auto entry = decode_entry_body(*entry_body);
+    auto entry = decode_entry_body(entry_body);
     if (!entry) {
       ++salvage.entries_skipped;
       continue;

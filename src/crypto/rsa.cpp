@@ -68,13 +68,12 @@ Bytes RsaPublicKey::serialize() const {
 // tlclint: codec(rsa_public_key, decode)
 Expected<RsaPublicKey> RsaPublicKey::deserialize(const Bytes& data) {
   ByteReader reader(data);
-  auto n_bytes = reader.blob();
-  if (!n_bytes) return Err("rsa pubkey: " + n_bytes.error());
-  auto e_bytes = reader.blob();
-  if (!e_bytes) return Err("rsa pubkey: " + e_bytes.error());
+  const Bytes n_bytes = reader.blob();
+  const Bytes e_bytes = reader.blob();
+  if (!reader.ok()) return Err("rsa pubkey: " + reader.error());
   RsaPublicKey key;
-  key.n = BigUInt::from_bytes(*n_bytes);
-  key.e = BigUInt::from_bytes(*e_bytes);
+  key.n = BigUInt::from_bytes(n_bytes);
+  key.e = BigUInt::from_bytes(e_bytes);
   if (key.n.is_zero() || key.e.is_zero()) {
     return Err("rsa pubkey: zero modulus or exponent");
   }

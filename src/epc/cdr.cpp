@@ -20,6 +20,10 @@ std::uint32_t seconds_u32(SimTime t) {
 constexpr std::uint32_t kCdrCompactVersion = 1;
 static_assert(kCdrCompactVersion >= 1);
 
+/// Wire version of the full-width encoding; v2 appended the §13 audit
+/// fields. tools/schemas/epc_cdr_full.schema pins the layout.
+constexpr std::uint32_t kCdrFullVersion = 2;
+
 }  // namespace
 
 std::string format_ipv4(std::uint32_t address) {
@@ -84,16 +88,49 @@ Expected<ChargingDataRecord> ChargingDataRecord::decode_compact(
   if (data.size() != 34) {
     return Err("cdr: compact encoding must be exactly 34 bytes");
   }
+  // The exact size leaves no read below short.
   ByteReader r(data);
   ChargingDataRecord cdr;
-  cdr.served_imsi.value = *r.u64();
-  cdr.gateway_address = *r.u32();
-  cdr.charging_id = *r.u16();
-  cdr.sequence_number = *r.u32();
-  cdr.time_of_first_usage = static_cast<SimTime>(*r.u32()) * kSecond;
-  cdr.time_of_last_usage = static_cast<SimTime>(*r.u32()) * kSecond;
-  cdr.datavolume_uplink = *r.u32();
-  cdr.datavolume_downlink = *r.u32();
+  cdr.served_imsi.value = r.u64();
+  cdr.gateway_address = r.u32();
+  cdr.charging_id = r.u16();
+  cdr.sequence_number = r.u32();
+  cdr.time_of_first_usage = static_cast<SimTime>(r.u32()) * kSecond;
+  cdr.time_of_last_usage = static_cast<SimTime>(r.u32()) * kSecond;
+  cdr.datavolume_uplink = r.u32();
+  cdr.datavolume_downlink = r.u32();
+  return cdr;
+}
+
+// tlclint: codec(epc_cdr_full, encode, version=kCdrFullVersion)
+void write_cdr(ByteWriter& w, const ChargingDataRecord& cdr) {
+  w.u64(cdr.served_imsi.value);
+  w.u32(cdr.gateway_address);
+  w.u16(cdr.charging_id);
+  w.u32(cdr.sequence_number);
+  w.i64(cdr.time_of_first_usage);
+  w.i64(cdr.time_of_last_usage);
+  w.u64(cdr.datavolume_uplink);
+  w.u64(cdr.datavolume_downlink);
+  w.u64(cdr.uncharged_uplink);
+  w.u64(cdr.uncharged_downlink);
+  w.u32(cdr.anomaly_flags);
+}
+
+// tlclint: codec(epc_cdr_full, decode, version=kCdrFullVersion)
+ChargingDataRecord read_cdr(ByteReader& r) {
+  ChargingDataRecord cdr;
+  cdr.served_imsi.value = r.u64();
+  cdr.gateway_address = r.u32();
+  cdr.charging_id = r.u16();
+  cdr.sequence_number = r.u32();
+  cdr.time_of_first_usage = r.i64();
+  cdr.time_of_last_usage = r.i64();
+  cdr.datavolume_uplink = r.u64();
+  cdr.datavolume_downlink = r.u64();
+  cdr.uncharged_uplink = r.u64();
+  cdr.uncharged_downlink = r.u64();
+  cdr.anomaly_flags = r.u32();
   return cdr;
 }
 

@@ -16,6 +16,11 @@
 #include "util/expected.hpp"
 #include "util/simtime.hpp"
 
+namespace tlc {
+class ByteReader;
+class ByteWriter;
+}  // namespace tlc
+
 namespace tlc::epc {
 
 /// Per-IMSI anomaly flags raised by the gateway's bypass detectors
@@ -73,6 +78,14 @@ struct ChargingDataRecord {
 
   [[nodiscard]] bool operator==(const ChargingDataRecord& o) const = default;
 };
+
+/// Full-width encoding: every field at its own width, audit fields
+/// included. The OFCS journal and snapshot and the streaming-ingest
+/// Merkle leaf all carry it.
+inline constexpr std::size_t kFullCdrSize = 70;
+void write_cdr(ByteWriter& w, const ChargingDataRecord& cdr);
+/// Reads one full-width record; a short read latches on `r`.
+[[nodiscard]] ChargingDataRecord read_cdr(ByteReader& r);
 
 /// Renders "a.b.c.d" from a host-order IPv4 address.
 [[nodiscard]] std::string format_ipv4(std::uint32_t address);

@@ -24,58 +24,20 @@ constexpr std::uint8_t kOpSettle = 3;
 // v3: bill amounts moved from f64 currency units to u64 micro-units.
 constexpr std::uint8_t kSnapshotVersion = 3;
 
-// Encoded record sizes. Snapshot counts arrive from disk, so each
-// count-driven reserve is capped at the bytes left over the record size.
-constexpr std::size_t kCdrSize = 70;
+// Smallest encodings behind each snapshot count: a bill line, a
+// census entry, a subscriber with an empty archive and no lines, a
+// seen-CDR key and a settled key.
 constexpr std::size_t kBillLineSize = 29;
 constexpr std::size_t kCensusEntrySize = 32;
+constexpr std::size_t kMinSubscriberSize = 65;
+constexpr std::size_t kSeenCdrSize = 14;
+constexpr std::size_t kSettledSize = 12;
 
-// tlclint: codec(ofcs_cdr_full, encode, version=kSnapshotVersion)
-void write_cdr(ByteWriter& w, const ChargingDataRecord& cdr) {
-  w.u64(cdr.served_imsi.value);
-  w.u32(cdr.gateway_address);
-  w.u16(cdr.charging_id);
-  w.u32(cdr.sequence_number);
-  w.i64(cdr.time_of_first_usage);
-  w.i64(cdr.time_of_last_usage);
-  w.u64(cdr.datavolume_uplink);
-  w.u64(cdr.datavolume_downlink);
-  w.u64(cdr.uncharged_uplink);
-  w.u64(cdr.uncharged_downlink);
-  w.u32(cdr.anomaly_flags);
-}
-
-// tlclint: codec(ofcs_cdr_full, decode, version=kSnapshotVersion)
-Expected<ChargingDataRecord> read_cdr(ByteReader& r) {
-  ChargingDataRecord cdr;
-  auto imsi = r.u64();
-  if (!imsi) return Err("ofcs: truncated cdr");
-  cdr.served_imsi.value = *imsi;
-  auto gateway = r.u32();
-  auto charging_id = r.u16();
-  auto sequence = r.u32();
-  auto first = r.i64();
-  auto last = r.i64();
-  auto uplink = r.u64();
-  auto downlink = r.u64();
-  auto uncharged_ul = r.u64();
-  auto uncharged_dl = r.u64();
-  auto anomaly_flags = r.u32();
-  if (!gateway || !charging_id || !sequence || !first || !last || !uplink ||
-      !downlink || !uncharged_ul || !uncharged_dl || !anomaly_flags) {
-    return Err("ofcs: truncated cdr");
-  }
-  cdr.gateway_address = *gateway;
-  cdr.charging_id = *charging_id;
-  cdr.sequence_number = *sequence;
-  cdr.time_of_first_usage = *first;
-  cdr.time_of_last_usage = *last;
-  cdr.datavolume_uplink = *uplink;
-  cdr.datavolume_downlink = *downlink;
-  cdr.uncharged_uplink = *uncharged_ul;
-  cdr.uncharged_downlink = *uncharged_dl;
-  cdr.anomaly_flags = *anomaly_flags;
-  return cdr;
+/// A u8 flag: 0 or 1, anything else is not a canonical encoding.
+bool read_flag(ByteReader& r) {
+  const std::uint8_t flag = r.u8();
+  if (flag > 1) r.fail("ofcs: flag byte past 1");
+  return flag == 1;
 }
 
 // tlclint: codec(ofcs_bill_line, encode, version=kSnapshotVersion)
@@ -88,21 +50,13 @@ void write_line(ByteWriter& w, const BillLine& line) {
 }
 
 // tlclint: codec(ofcs_bill_line, decode, version=kSnapshotVersion)
-Expected<BillLine> read_line(ByteReader& r) {
+BillLine read_line(ByteReader& r) {
   BillLine line;
-  auto cycle = r.u32();
-  auto gateway = r.u64();
-  auto billed = r.u64();
-  auto amount = r.u64();
-  auto throttled = r.u8();
-  if (!cycle || !gateway || !billed || !amount || !throttled) {
-    return Err("ofcs: truncated bill line");
-  }
-  line.cycle_index = *cycle;
-  line.gateway_volume = *gateway;
-  line.billed_volume = *billed;
-  line.amount_micro = *amount;
-  line.throttled = *throttled != 0;
+  line.cycle_index = r.u32();
+  line.gateway_volume = r.u64();
+  line.billed_volume = r.u64();
+  line.amount_micro = r.u64();
+  line.throttled = read_flag(r);
   return line;
 }
 
@@ -387,49 +341,49 @@ bool Ofcs::journal_op(const Bytes& op) {
 // tlclint: allow(schema-coverage) multiplexed decoder, see ofcs_op_* schemas
 Status Ofcs::apply_journal_op(const Bytes& op) {
   ByteReader r(op);
-  auto tag = r.u8();
-  if (!tag) return Err("ofcs: empty journal op");
-  switch (*tag) {
+  const std::uint8_t tag = r.u8();
+  if (!r.ok()) return Err("ofcs: empty journal op");
+  switch (tag) {
     case kOpIngest: {
-      auto cdr = read_cdr(r);
-      if (!cdr) return Err(cdr.error());
-      const CdrKey key{cdr->served_imsi.value, cdr->charging_id,
-                       cdr->sequence_number};
+      const ChargingDataRecord cdr = read_cdr(r);
+      if (!r.ok()) return Err("ofcs: truncated cdr");
+      const CdrKey key{cdr.served_imsi.value, cdr.charging_id,
+                       cdr.sequence_number};
       if (seen_cdrs_.contains(key)) {
         ++duplicate_ops_dropped_;
         return Status::Ok();
       }
-      apply_ingest(*cdr);
+      apply_ingest(cdr);
       return Status::Ok();
     }
     case kOpClose: {
-      auto imsi = r.u64();
-      if (!imsi) return Err("ofcs: truncated close op");
-      auto line = read_line(r);
-      if (!line) return Err(line.error());
-      if (line->cycle_index < subscribers_[Imsi{*imsi}].next_cycle) {
+      const Imsi imsi{r.u64()};
+      const BillLine line = read_line(r);
+      if (!r.ok()) return r.error_or("ofcs: truncated close op");
+      if (line.cycle_index < subscribers_[imsi].next_cycle) {
         ++duplicate_ops_dropped_;
         return Status::Ok();
       }
-      apply_close(Imsi{*imsi}, *line);
+      apply_close(imsi, line);
       return Status::Ok();
     }
     case kOpSettle: {
-      auto ue_id = r.u64();
-      auto cycle = r.u32();
-      auto outcome = r.u8();
-      if (!ue_id || !cycle || !outcome) {
-        return Err("ofcs: truncated settle op");
+      const std::uint64_t ue_id = r.u64();
+      const std::uint32_t cycle = r.u32();
+      const std::uint8_t outcome = r.u8();
+      if (cycle >= kMaxSettlementCycles) {
+        r.fail("ofcs: settlement cycle past kMaxSettlementCycles");
       }
-      if (*cycle >= kMaxSettlementCycles) {
-        return Err("ofcs: settlement cycle past kMaxSettlementCycles");
+      if (outcome >
+          static_cast<std::uint8_t>(SettlementOutcome::RejectedTamper)) {
+        r.fail("ofcs: unknown settlement outcome");
       }
-      if (settled_.contains(SettleKey{*ue_id, *cycle})) {
+      if (!r.ok()) return r.error_or("ofcs: truncated settle op");
+      if (settled_.contains(SettleKey{ue_id, cycle})) {
         ++duplicate_ops_dropped_;
         return Status::Ok();
       }
-      apply_settlement(*ue_id, *cycle,
-                       static_cast<SettlementOutcome>(*outcome));
+      apply_settlement(ue_id, cycle, static_cast<SettlementOutcome>(outcome));
       return Status::Ok();
     }
     default:
@@ -483,101 +437,73 @@ Bytes Ofcs::serialize_state() const {
 // tlclint: codec(ofcs_snapshot, decode, version=kSnapshotVersion)
 Status Ofcs::restore_state(const Bytes& snapshot) {
   subscribers_.clear();
-  ingested_ = 0;
   settlement_by_cycle_.clear();
   seen_cdrs_.clear();
   settled_.clear();
 
+  // Keys must arrive in the strictly ascending order serialize_state()
+  // writes, so that every accepted snapshot re-serializes to its bytes.
   ByteReader r(snapshot);
-  auto version = r.u8();
-  if (!version || *version != kSnapshotVersion) {
-    return Err("ofcs snapshot: unsupported version");
+  if (r.u8() != kSnapshotVersion) {
+    r.fail("ofcs snapshot: unsupported version");
   }
-  auto ingested = r.u64();
-  auto subscriber_count = r.u32();
-  if (!ingested || !subscriber_count) return Err("ofcs snapshot: truncated");
-  ingested_ = *ingested;
-  for (std::uint32_t i = 0; i < *subscriber_count; ++i) {
-    auto imsi = r.u64();
-    auto archive_count = r.u32();
-    if (!imsi || !archive_count) return Err("ofcs snapshot: truncated");
-    State& state = subscribers_[Imsi{*imsi}];
-    state.archive.reserve(
-        std::min<std::size_t>(*archive_count, r.remaining() / kCdrSize));
-    for (std::uint32_t j = 0; j < *archive_count; ++j) {
-      auto cdr = read_cdr(r);
-      if (!cdr) return Err(cdr.error());
-      state.archive.push_back(*cdr);
+  ingested_ = r.u64();
+  const std::uint32_t subscriber_count = r.count(kMinSubscriberSize);
+  std::uint64_t last_imsi = 0;
+  for (std::uint32_t i = 0; i < subscriber_count; ++i) {
+    const Imsi imsi{r.u64()};
+    if (i > 0 && imsi.value <= last_imsi) {
+      r.fail("ofcs snapshot: subscribers out of order");
     }
-    auto pending_ul = r.u64();
-    auto pending_dl = r.u64();
-    auto next_cycle = r.u32();
-    auto line_count = r.u32();
-    if (!pending_ul || !pending_dl || !next_cycle || !line_count) {
-      return Err("ofcs snapshot: truncated");
+    last_imsi = imsi.value;
+    State& state = subscribers_[imsi];
+    state.archive.resize(r.count(kFullCdrSize));
+    for (ChargingDataRecord& cdr : state.archive) {
+      cdr = read_cdr(r);
     }
-    state.pending_ul = *pending_ul;
-    state.pending_dl = *pending_dl;
-    state.next_cycle = *next_cycle;
-    state.billing.lines.reserve(
-        std::min<std::size_t>(*line_count, r.remaining() / kBillLineSize));
-    for (std::uint32_t j = 0; j < *line_count; ++j) {
-      auto line = read_line(r);
-      if (!line) return Err(line.error());
-      state.billing.lines.push_back(*line);
-    }
-    auto total_billed = r.u64();
-    auto total_amount = r.u64();
-    auto throttled = r.u8();
-    if (!total_billed || !total_amount || !throttled) {
-      return Err("ofcs snapshot: truncated");
-    }
-    state.billing.total_billed_bytes = *total_billed;
-    state.billing.total_amount_micro = *total_amount;
-    state.billing.throttled = *throttled != 0;
-    auto uncharged = r.u64();
-    auto anomaly_flags = r.u32();
-    if (!uncharged || !anomaly_flags) return Err("ofcs snapshot: truncated");
-    state.uncharged_bytes = *uncharged;
-    state.anomaly_flags = *anomaly_flags;
+    state.pending_ul = r.u64();
+    state.pending_dl = r.u64();
+    state.next_cycle = r.u32();
+    state.billing.lines.resize(r.count(kBillLineSize));
+    for (BillLine& line : state.billing.lines) line = read_line(r);
+    state.billing.total_billed_bytes = r.u64();
+    state.billing.total_amount_micro = r.u64();
+    state.billing.throttled = read_flag(r);
+    state.uncharged_bytes = r.u64();
+    state.anomaly_flags = r.u32();
   }
-  auto cycle_count = r.u32();
-  if (!cycle_count) return Err("ofcs snapshot: truncated");
-  if (*cycle_count > kMaxSettlementCycles) {
-    return Err("ofcs snapshot: census past kMaxSettlementCycles");
+  const std::uint32_t cycle_count = r.count(kCensusEntrySize);
+  if (cycle_count > kMaxSettlementCycles) {
+    r.fail("ofcs snapshot: census past kMaxSettlementCycles");
   }
-  settlement_by_cycle_.reserve(
-      std::min<std::size_t>(*cycle_count, r.remaining() / kCensusEntrySize));
-  for (std::uint32_t i = 0; i < *cycle_count; ++i) {
-    auto converged = r.u64();
-    auto retried = r.u64();
-    auto degraded = r.u64();
-    auto rejected = r.u64();
-    if (!converged || !retried || !degraded || !rejected) {
-      return Err("ofcs snapshot: truncated");
+  settlement_by_cycle_.resize(cycle_count);
+  for (SettlementCounters& counters : settlement_by_cycle_) {
+    counters.converged = r.u64();
+    counters.retried = r.u64();
+    counters.degraded = r.u64();
+    counters.rejected_tamper = r.u64();
+  }
+  const std::uint32_t seen_count = r.count(kSeenCdrSize);
+  for (std::uint32_t i = 0; i < seen_count; ++i) {
+    const std::uint64_t imsi = r.u64();
+    const std::uint16_t charging_id = r.u16();
+    const std::uint32_t sequence = r.u32();
+    const CdrKey key{imsi, charging_id, sequence};
+    if (!seen_cdrs_.empty() && key <= *seen_cdrs_.rbegin()) {
+      r.fail("ofcs snapshot: seen CDRs out of order");
     }
-    settlement_by_cycle_.push_back(
-        SettlementCounters{*converged, *retried, *degraded, *rejected});
+    seen_cdrs_.insert(seen_cdrs_.end(), key);
   }
-  auto seen_count = r.u32();
-  if (!seen_count) return Err("ofcs snapshot: truncated");
-  for (std::uint32_t i = 0; i < *seen_count; ++i) {
-    auto imsi = r.u64();
-    auto charging_id = r.u16();
-    auto sequence = r.u32();
-    if (!imsi || !charging_id || !sequence) {
-      return Err("ofcs snapshot: truncated");
+  const std::uint32_t settled_count = r.count(kSettledSize);
+  for (std::uint32_t i = 0; i < settled_count; ++i) {
+    const std::uint64_t ue_id = r.u64();
+    const SettleKey key{ue_id, r.u32()};
+    if (!settled_.empty() && key <= *settled_.rbegin()) {
+      r.fail("ofcs snapshot: settled keys out of order");
     }
-    seen_cdrs_.insert(CdrKey{*imsi, *charging_id, *sequence});
+    settled_.insert(settled_.end(), key);
   }
-  auto settled_count = r.u32();
-  if (!settled_count) return Err("ofcs snapshot: truncated");
-  for (std::uint32_t i = 0; i < *settled_count; ++i) {
-    auto ue_id = r.u64();
-    auto cycle = r.u32();
-    if (!ue_id || !cycle) return Err("ofcs snapshot: truncated");
-    settled_.insert(SettleKey{*ue_id, *cycle});
-  }
+  if (!r.ok()) return r.error_or("ofcs snapshot: truncated");
   if (!r.exhausted()) return Err("ofcs snapshot: trailing bytes");
   return Status::Ok();
 }

@@ -15,15 +15,13 @@ Bytes RrcCounterCheck::encode() const {
 // tlclint: codec(rrc_counter_check, decode)
 Expected<RrcCounterCheck> RrcCounterCheck::decode(const Bytes& wire) {
   ByteReader r(wire);
-  auto type = r.u8();
-  if (!type) return Err("rrc: " + type.error());
-  if (*type != static_cast<std::uint8_t>(RrcMessageType::CounterCheck)) {
-    return Err("rrc: not a CounterCheck");
+  if (r.u8() != static_cast<std::uint8_t>(RrcMessageType::CounterCheck)) {
+    r.fail("rrc: not a CounterCheck");
   }
-  auto id = r.u32();
-  if (!id) return Err("rrc: " + id.error());
+  const RrcCounterCheck check{r.u32()};
+  if (!r.ok()) return r.error_or("rrc: truncated");
   if (!r.exhausted()) return Err("rrc: trailing bytes");
-  return RrcCounterCheck{*id};
+  return check;
 }
 
 // tlclint: codec(rrc_counter_check_response, encode)
@@ -40,22 +38,15 @@ Bytes RrcCounterCheckResponse::encode() const {
 Expected<RrcCounterCheckResponse> RrcCounterCheckResponse::decode(
     const Bytes& wire) {
   ByteReader r(wire);
-  auto type = r.u8();
-  if (!type) return Err("rrc: " + type.error());
-  if (*type !=
+  if (r.u8() !=
       static_cast<std::uint8_t>(RrcMessageType::CounterCheckResponse)) {
-    return Err("rrc: not a CounterCheckResponse");
+    r.fail("rrc: not a CounterCheckResponse");
   }
   RrcCounterCheckResponse response;
-  auto id = r.u32();
-  if (!id) return Err("rrc: " + id.error());
-  response.transaction_id = *id;
-  auto ul = r.u64();
-  if (!ul) return Err("rrc: " + ul.error());
-  response.uplink_bytes = *ul;
-  auto dl = r.u64();
-  if (!dl) return Err("rrc: " + dl.error());
-  response.downlink_bytes = *dl;
+  response.transaction_id = r.u32();
+  response.uplink_bytes = r.u64();
+  response.downlink_bytes = r.u64();
+  if (!r.ok()) return r.error_or("rrc: truncated");
   if (!r.exhausted()) return Err("rrc: trailing bytes");
   return response;
 }

@@ -27,6 +27,12 @@ struct ShardSlice {
   std::size_t ue_count = 0;
 };
 
+/// The shard checkpoint codec: every UeRecord field exact (doubles as
+/// bits), so a reused checkpoint is indistinguishable from a re-run.
+[[nodiscard]] Bytes encode_shard_records(const std::vector<UeRecord>& records);
+[[nodiscard]] Expected<std::vector<UeRecord>> decode_shard_records(
+    const Bytes& data);
+
 [[nodiscard]] std::vector<ShardSlice> partition_shards(
     const FleetConfig& config);
 

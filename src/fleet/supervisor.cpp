@@ -40,10 +40,10 @@ constexpr int kCheckpointEveryCycles = 1;
 // rejected, which just forces a clean re-run of that shard.
 constexpr std::uint8_t kShardRecordVersion = 2;
 
-// Smallest encodings, which cap every count-driven reserve by the bytes
-// actually left: a damaged count then fails as truncation instead of
-// sizing an allocation.
+// Smallest encodings behind each count: a damaged count then fails as
+// truncation instead of sizing an allocation or a loop.
 constexpr std::size_t kCycleSize = 7 * 8;
+constexpr std::size_t kSchemeSize = 1 + 4;
 constexpr std::size_t kOutcomeSize = 6 * 8 + 1;
 constexpr std::size_t kMinRecordSize =
     8 + 8 + 1 + 3 * 8 + 8 + 4 + 4 + 1 +
@@ -98,86 +98,54 @@ void write_record(ByteWriter& w, const UeRecord& record) {
   for (std::uint64_t v : record.uncharged_per_cycle) w.u64(v);
 }
 
-Expected<UeRecord> read_record(ByteReader& r) {
+UeRecord read_record(ByteReader& r) {
   UeRecord record;
-  auto ue_index = r.u64();
-  if (!ue_index) return Err(ue_index.error());
-  record.ue_index = *ue_index;
-  auto imsi = r.u64();
-  if (!imsi) return Err(imsi.error());
-  record.imsi = epc::Imsi{*imsi};
-  auto app = r.u8();
-  if (!app) return Err(app.error());
-  record.member.app = static_cast<testbed::AppKind>(*app);
-  auto rss = r.f64();
-  if (!rss) return Err(rss.error());
-  record.member.mean_rss_dbm = *rss;
-  auto disconnect = r.f64();
-  if (!disconnect) return Err(disconnect.error());
-  record.member.disconnect_ratio = *disconnect;
-  auto mobility = r.f64();
-  if (!mobility) return Err(mobility.error());
-  record.member.mobility_speed_mps = *mobility;
-  auto seed = r.u64();
-  if (!seed) return Err(seed.error());
-  record.member.seed = *seed;
+  record.ue_index = r.u64();
+  record.imsi = epc::Imsi{r.u64()};
+  record.member.app = static_cast<testbed::AppKind>(r.u8());
+  record.member.mean_rss_dbm = r.f64();
+  record.member.disconnect_ratio = r.f64();
+  record.member.mobility_speed_mps = r.f64();
+  record.member.seed = r.u64();
 
-  auto ncycles = r.u32();
-  if (!ncycles) return Err(ncycles.error());
-  record.cycles.reserve(
-      std::min<std::size_t>(*ncycles, r.remaining() / kCycleSize));
-  for (std::uint32_t c = 0; c < *ncycles; ++c) {
-    testbed::CycleMeasurements& m = record.cycles.emplace_back();
+  record.cycles.resize(r.count(kCycleSize));
+  for (testbed::CycleMeasurements& m : record.cycles) {
     for (std::uint64_t* field :
          {&m.true_sent, &m.true_received, &m.edge_sent, &m.edge_received,
           &m.op_sent, &m.op_received, &m.gateway_volume}) {
-      auto v = r.u64();
-      if (!v) return Err(v.error());
-      *field = *v;
+      *field = r.u64();
     }
   }
 
-  auto nschemes = r.u32();
-  if (!nschemes) return Err(nschemes.error());
-  for (std::uint32_t s = 0; s < *nschemes; ++s) {
-    auto scheme = r.u8();
-    if (!scheme) return Err(scheme.error());
-    auto count = r.u32();
-    if (!count) return Err(count.error());
-    std::vector<testbed::CycleOutcome> outcomes;
-    outcomes.reserve(
-        std::min<std::size_t>(*count, r.remaining() / kOutcomeSize));
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      testbed::CycleOutcome& o = outcomes.emplace_back();
-      auto expected = r.u64();
-      if (!expected) return Err(expected.error());
-      o.expected = *expected;
-      auto charged = r.u64();
-      if (!charged) return Err(charged.error());
-      o.charged = *charged;
-      auto gap_mb = r.f64();
-      if (!gap_mb) return Err(gap_mb.error());
-      o.gap_mb = *gap_mb;
-      auto gap_hr = r.f64();
-      if (!gap_hr) return Err(gap_hr.error());
-      o.gap_mb_per_hr = *gap_hr;
-      auto gap_ratio = r.f64();
-      if (!gap_ratio) return Err(gap_ratio.error());
-      o.gap_ratio = *gap_ratio;
-      auto rounds = r.i64();
-      if (!rounds) return Err(rounds.error());
-      o.rounds = static_cast<int>(*rounds);
-      auto completed = r.u8();
-      if (!completed) return Err(completed.error());
-      o.completed = *completed != 0;
+  // Schemes arrive in the ascending order the map iterates, so every
+  // accepted record re-encodes to its bytes.
+  const std::uint32_t nschemes = r.count(kSchemeSize);
+  for (std::uint32_t i = 0; i < nschemes; ++i) {
+    const auto scheme = static_cast<testbed::Scheme>(r.u8());
+    if (!record.outcomes.empty() &&
+        scheme <= record.outcomes.rbegin()->first) {
+      r.fail("shard checkpoint: schemes out of order");
     }
-    record.outcomes.emplace(static_cast<testbed::Scheme>(*scheme),
-                            std::move(outcomes));
+    std::vector<testbed::CycleOutcome> outcomes(r.count(kOutcomeSize));
+    for (testbed::CycleOutcome& o : outcomes) {
+      o.expected = r.u64();
+      o.charged = r.u64();
+      o.gap_mb = r.f64();
+      o.gap_mb_per_hr = r.f64();
+      o.gap_ratio = r.f64();
+      const std::int64_t rounds = r.i64();
+      const std::uint8_t completed = r.u8();
+      if (rounds != static_cast<int>(rounds) || completed > 1) {
+        r.fail("shard checkpoint: outcome field out of range");
+      }
+      o.rounds = static_cast<int>(rounds);
+      o.completed = completed == 1;
+    }
+    record.outcomes.emplace_hint(record.outcomes.end(), scheme,
+                                 std::move(outcomes));
   }
 
-  auto adversary = r.u8();
-  if (!adversary) return Err(adversary.error());
-  record.adversary = static_cast<workloads::AdversaryKind>(*adversary);
+  record.adversary = static_cast<workloads::AdversaryKind>(r.u8());
   epc::AnomalyCounters& a = record.anomaly;
   std::vector<std::uint64_t*> counter_fields;
   for (std::uint64_t& v : a.protocol_bytes) counter_fields.push_back(&v);
@@ -188,25 +156,16 @@ Expected<UeRecord> read_record(ByteReader& r) {
         &a.replayed_packets}) {
     counter_fields.push_back(field);
   }
-  for (std::uint64_t* field : counter_fields) {
-    auto v = r.u64();
-    if (!v) return Err(v.error());
-    *field = *v;
-  }
-  auto flags = r.u32();
-  if (!flags) return Err(flags.error());
-  a.flags = *flags;
-  auto nuncharged = r.u32();
-  if (!nuncharged) return Err(nuncharged.error());
-  record.uncharged_per_cycle.reserve(
-      std::min<std::size_t>(*nuncharged, r.remaining() / 8));
-  for (std::uint32_t i = 0; i < *nuncharged; ++i) {
-    auto value = r.u64();
-    if (!value) return Err(value.error());
-    record.uncharged_per_cycle.push_back(*value);
-  }
+  for (std::uint64_t* field : counter_fields) *field = r.u64();
+  a.flags = r.u32();
+  record.uncharged_per_cycle.resize(r.count(8));
+  for (std::uint64_t& v : record.uncharged_per_cycle) v = r.u64();
   return record;
 }
+
+}  // namespace
+
+namespace detail {
 
 // tlclint: codec(fleet_shard_checkpoint, encode, version=kShardRecordVersion)
 Bytes encode_shard_records(const std::vector<UeRecord>& records) {
@@ -220,24 +179,19 @@ Bytes encode_shard_records(const std::vector<UeRecord>& records) {
 // tlclint: codec(fleet_shard_checkpoint, decode, version=kShardRecordVersion)
 Expected<std::vector<UeRecord>> decode_shard_records(const Bytes& data) {
   ByteReader r(data);
-  auto version = r.u8();
-  if (!version) return Err(version.error());
-  if (*version != kShardRecordVersion) {
-    return Err("shard checkpoint: unknown version");
+  if (r.u8() != kShardRecordVersion) {
+    r.fail("shard checkpoint: unknown version");
   }
-  auto count = r.u32();
-  if (!count) return Err(count.error());
-  std::vector<UeRecord> records;
-  records.reserve(
-      std::min<std::size_t>(*count, r.remaining() / kMinRecordSize));
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto record = read_record(r);
-    if (!record) return Err(record.error());
-    records.push_back(std::move(*record));
-  }
+  std::vector<UeRecord> records(r.count(kMinRecordSize));
+  for (UeRecord& record : records) record = read_record(r);
+  if (!r.ok()) return r.error_or("shard checkpoint: truncated");
   if (!r.exhausted()) return Err("shard checkpoint: trailing bytes");
   return records;
 }
+
+}  // namespace detail
+
+namespace {
 
 // ---------------------------------------------------------------------
 // State-file layout under config.state_dir. An empty state_dir turns
@@ -288,7 +242,7 @@ SliceOutcome run_one_shard(const SupervisorConfig& config,
           return out;
         }
         if (existing->has_value()) {
-          auto records = decode_shard_records(**existing);
+          auto records = detail::decode_shard_records(**existing);
           if (!records) {
             // The rename protocol never leaves a torn checkpoint, so a
             // corrupt one means the storage lied — surface it.
@@ -310,7 +264,7 @@ SliceOutcome run_one_shard(const SupervisorConfig& config,
       }
       if (durable(config)) {
         Status wrote = recovery::write_checkpoint(
-            ckpt_path, encode_shard_records(records), config.plan, scope);
+            ckpt_path, detail::encode_shard_records(records), config.plan, scope);
         if (!wrote.ok()) {
           out.error = wrote;
           return out;

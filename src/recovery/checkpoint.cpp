@@ -53,24 +53,18 @@ Expected<Bytes> read_checkpoint(const std::string& path) {
   }
   // tlclint: codec(recovery_checkpoint, decode, version=kCheckpointVersion)
   ByteReader r(*data);
-  const auto magic = r.u32();
-  const auto version = r.u32();
-  const auto crc = r.u32();
-  if (!magic || *magic != kCheckpointMagic) {
-    return Err("checkpoint: bad magic in " + path);
+  if (r.u32() != kCheckpointMagic) r.fail("checkpoint: bad magic in " + path);
+  if (r.u32() != kCheckpointVersion) {
+    r.fail("checkpoint: unsupported version in " + path);
   }
-  if (!version || *version != kCheckpointVersion) {
-    return Err("checkpoint: unsupported version in " + path);
-  }
-  if (!crc) return Err("checkpoint: truncated header in " + path);
-  auto payload = r.blob();
-  if (!payload || !r.exhausted()) {
-    return Err("checkpoint: length mismatch in " + path);
-  }
-  if (crc32c(*payload) != *crc) {
+  const std::uint32_t crc = r.u32();
+  Bytes payload = r.blob();
+  if (!r.ok()) return r.error_or("checkpoint: length mismatch in " + path);
+  if (!r.exhausted()) return Err("checkpoint: length mismatch in " + path);
+  if (crc32c(payload) != crc) {
     return Err("checkpoint: CRC mismatch in " + path);
   }
-  return *payload;
+  return payload;
 }
 
 Expected<std::optional<Bytes>> read_checkpoint_if_present(

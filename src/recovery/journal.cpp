@@ -38,10 +38,8 @@ Expected<Journal::ReplayStats> scan(
   }
   // tlclint: codec(journal_header, decode, version=kJournalVersion)
   ByteReader header(data);
-  const auto magic = header.u32();
-  const auto version = header.u32();
-  if (!magic || *magic != kJournalMagic) return Err("journal: bad magic");
-  if (!version || *version != kJournalVersion) {
+  if (header.u32() != kJournalMagic) return Err("journal: bad magic");
+  if (header.u32() != kJournalVersion) {
     return Err("journal: unsupported version");
   }
   std::size_t pos = kHeaderBytes;

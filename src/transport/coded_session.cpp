@@ -65,32 +65,19 @@ Bytes encode_coded_packet(const CodedPacket& packet) {
 Expected<CodedPacket> decode_coded_packet(const Bytes& wire) {
   ByteReader r(wire);
   CodedPacket packet;
-  auto transfer_id = r.u64();
-  auto generation = r.u32();
-  auto generation_size = r.u16();
-  auto chunk_bytes = r.u16();
-  auto payload_len = r.u32();
-  if (!transfer_id || !generation || !generation_size || !chunk_bytes ||
-      !payload_len) {
-    return Err("coded packet: truncated header");
-  }
-  auto coefficients = r.blob();
-  if (!coefficients) return Err("coded packet: " + coefficients.error());
-  auto body = r.blob();
-  if (!body) return Err("coded packet: " + body.error());
-  auto crc = r.u32();
-  if (!crc) return Err("coded packet: truncated crc");
+  packet.transfer_id = r.u64();
+  packet.generation = r.u32();
+  packet.generation_size = r.u16();
+  packet.chunk_bytes = r.u16();
+  packet.payload_len = r.u32();
+  packet.coefficients = r.blob();
+  packet.body = r.blob();
+  const std::uint32_t crc = r.u32();
+  if (!r.ok()) return Err("coded packet: " + r.error());
   if (!r.exhausted()) return Err("coded packet: trailing bytes");
-  if (*crc != recovery::crc32c_extend(0, wire.data(), wire.size() - 4)) {
+  if (crc != recovery::crc32c_extend(0, wire.data(), wire.size() - 4)) {
     return Err("coded packet: crc mismatch");
   }
-  packet.transfer_id = *transfer_id;
-  packet.generation = *generation;
-  packet.generation_size = *generation_size;
-  packet.chunk_bytes = *chunk_bytes;
-  packet.payload_len = *payload_len;
-  packet.coefficients = std::move(*coefficients);
-  packet.body = std::move(*body);
   return packet;
 }
 
@@ -109,20 +96,15 @@ Bytes encode_generation_ack(const GenerationAck& ack) {
 Expected<GenerationAck> decode_generation_ack(const Bytes& wire) {
   ByteReader r(wire);
   GenerationAck ack;
-  auto transfer_id = r.u64();
-  auto generation = r.u32();
-  auto rank = r.u16();
-  auto crc = r.u32();
-  if (!transfer_id || !generation || !rank || !crc) {
-    return Err("generation ack: truncated");
-  }
+  ack.transfer_id = r.u64();
+  ack.generation = r.u32();
+  ack.rank = r.u16();
+  const std::uint32_t crc = r.u32();
+  if (!r.ok()) return Err("generation ack: truncated");
   if (!r.exhausted()) return Err("generation ack: trailing bytes");
-  if (*crc != recovery::crc32c_extend(0, wire.data(), wire.size() - 4)) {
+  if (crc != recovery::crc32c_extend(0, wire.data(), wire.size() - 4)) {
     return Err("generation ack: crc mismatch");
   }
-  ack.transfer_id = *transfer_id;
-  ack.generation = *generation;
-  ack.rank = *rank;
   return ack;
 }
 
@@ -432,16 +414,10 @@ Bytes seal_receipts(const std::vector<core::SettlementReceipt>& receipts) {
 Expected<std::vector<core::SettlementReceipt>> unseal_receipts(
     const Bytes& payload) {
   ByteReader r(payload);
-  auto count = r.u32();
-  if (!count) return Err("sealed batch: truncated count");
-  std::vector<core::SettlementReceipt> receipts;
-  receipts.reserve(
-      std::min<std::size_t>(*count, r.remaining() / kMinEncodedReceiptSize));
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto receipt = read_receipt(r);
-    if (!receipt) return Err(receipt.error());
-    receipts.push_back(std::move(*receipt));
-  }
+  std::vector<core::SettlementReceipt> receipts(
+      r.count(kMinEncodedReceiptSize));
+  for (core::SettlementReceipt& receipt : receipts) receipt = read_receipt(r);
+  if (!r.ok()) return r.error_or("settlement journal: truncated receipt");
   return receipts;
 }
 

@@ -1,7 +1,5 @@
 #include "transport/settlement_journal.hpp"
 
-#include <algorithm>
-
 #include "util/serde.hpp"
 
 namespace tlc::transport {
@@ -27,41 +25,30 @@ void write_receipt(ByteWriter& w, const core::SettlementReceipt& receipt) {
 }
 
 // tlclint: codec(settlement_receipt, decode, version=kSettlementWireVersion)
-Expected<core::SettlementReceipt> read_receipt(ByteReader& r) {
+core::SettlementReceipt read_receipt(ByteReader& r) {
   core::SettlementReceipt receipt;
-  auto ue_id = r.u64();
-  auto cycle = r.u32();
-  auto completed = r.u8();
-  auto charged = r.u64();
-  auto rounds = r.i64();
-  if (!ue_id || !cycle || !completed || !charged || !rounds) {
-    return Err("settlement journal: truncated receipt");
-  }
-  receipt.ue_id = *ue_id;
-  receipt.cycle = *cycle;
-  receipt.completed = *completed != 0;
-  receipt.charged = *charged;
-  receipt.rounds = static_cast<int>(*rounds);
-  auto poc_wire = r.blob();
-  if (!poc_wire) return Err("settlement journal: " + poc_wire.error());
-  receipt.poc_wire = std::move(*poc_wire);
-  auto outcome = r.u8();
-  auto retransmits = r.i64();
-  if (!outcome || !retransmits) {
-    return Err("settlement journal: truncated receipt");
-  }
+  receipt.ue_id = r.u64();
+  receipt.cycle = r.u32();
+  const std::uint8_t completed = r.u8();
+  receipt.charged = r.u64();
+  const std::int64_t rounds = r.i64();
+  receipt.poc_wire = r.blob();
+  const std::uint8_t outcome = r.u8();
+  const std::int64_t retransmits = r.i64();
+  receipt.failure_reason = r.str();
   constexpr auto kLastOutcome =
       static_cast<std::uint8_t>(core::SettleOutcome::RejectedTamper);
-  if (*outcome > kLastOutcome) {
-    return Err("settlement journal: unknown receipt outcome");
+  if (outcome > kLastOutcome) {
+    r.fail("settlement journal: unknown receipt outcome");
   }
-  receipt.outcome = static_cast<core::SettleOutcome>(*outcome);
-  receipt.retransmits = static_cast<int>(*retransmits);
-  auto failure_reason = r.str();
-  if (!failure_reason) {
-    return Err("settlement journal: " + failure_reason.error());
+  if (completed > 1 || rounds != static_cast<int>(rounds) ||
+      retransmits != static_cast<int>(retransmits)) {
+    r.fail("settlement journal: receipt field out of range");
   }
-  receipt.failure_reason = std::move(*failure_reason);
+  receipt.completed = completed == 1;
+  receipt.rounds = static_cast<int>(rounds);
+  receipt.outcome = static_cast<core::SettleOutcome>(outcome);
+  receipt.retransmits = static_cast<int>(retransmits);
   return receipt;
 }
 
@@ -77,53 +64,30 @@ Expected<SettlementJournal> SettlementJournal::open(const std::string& path,
     if (!decode_error.ok()) return;
     // tlclint: codec(settlement_chunk, decode, version=kSettlementWireVersion)
     ByteReader r(record);
-    auto chunk_index = r.u32();
-    auto count = r.u32();
-    if (!chunk_index || !count) {
-      decode_error = Err("settlement journal: truncated chunk record");
-      return;
-    }
+    const std::uint32_t chunk_index = r.u32();
     RecoveredChunk chunk;
-    chunk.receipts.reserve(
-        std::min<std::size_t>(*count, r.remaining() / kMinEncodedReceiptSize));
-    for (std::uint32_t i = 0; i < *count; ++i) {
-      auto receipt = read_receipt(r);
-      if (!receipt) {
-        decode_error = Err(receipt.error());
-        return;
-      }
-      chunk.receipts.push_back(std::move(*receipt));
+    chunk.receipts.resize(r.count(kMinEncodedReceiptSize));
+    for (core::SettlementReceipt& receipt : chunk.receipts) {
+      receipt = read_receipt(r);
     }
-    auto generations = r.u64();
-    auto generations_decoded = r.u64();
-    auto packets_sent = r.u64();
-    auto packets_delivered = r.u64();
-    auto packets_dependent = r.u64();
-    auto packets_corrupt = r.u64();
-    auto acks_sent = r.u64();
-    auto cycles_coded = r.u64();
-    auto fallbacks = r.u64();
-    auto bytes_on_wire = r.u64();
-    if (!generations || !generations_decoded || !packets_sent ||
-        !packets_delivered || !packets_dependent || !packets_corrupt ||
-        !acks_sent || !cycles_coded || !fallbacks || !bytes_on_wire) {
-      decode_error = Err("settlement journal: truncated coded counters");
+    chunk.coded.generations = r.u64();
+    chunk.coded.generations_decoded = r.u64();
+    chunk.coded.packets_sent = r.u64();
+    chunk.coded.packets_delivered = r.u64();
+    chunk.coded.packets_dependent = r.u64();
+    chunk.coded.packets_corrupt = r.u64();
+    chunk.coded.acks_sent = r.u64();
+    chunk.coded.cycles_coded = r.u64();
+    chunk.coded.fallbacks = r.u64();
+    chunk.coded.bytes_on_wire = r.u64();
+    if (!r.ok()) {
+      decode_error = r.error_or("settlement journal: truncated receipt");
       return;
     }
-    chunk.coded.generations = *generations;
-    chunk.coded.generations_decoded = *generations_decoded;
-    chunk.coded.packets_sent = *packets_sent;
-    chunk.coded.packets_delivered = *packets_delivered;
-    chunk.coded.packets_dependent = *packets_dependent;
-    chunk.coded.packets_corrupt = *packets_corrupt;
-    chunk.coded.acks_sent = *acks_sent;
-    chunk.coded.cycles_coded = *cycles_coded;
-    chunk.coded.fallbacks = *fallbacks;
-    chunk.coded.bytes_on_wire = *bytes_on_wire;
     // Duplicate chunk records (post-append crash, chunk re-recorded by
     // an over-cautious caller) are idempotent: the receipts are
     // identical by the purity argument, keep the first.
-    settlement.recovered_.emplace(*chunk_index, std::move(chunk));
+    settlement.recovered_.emplace(chunk_index, std::move(chunk));
   });
   if (!stats) return Err(stats.error());
   if (!decode_error.ok()) return Err(decode_error.error());

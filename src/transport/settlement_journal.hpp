@@ -31,12 +31,13 @@ namespace tlc::transport {
 /// Full-fidelity receipt codec (every field round-trips exactly,
 /// poc_wire included) — shared by the chunk records here and by tests.
 void write_receipt(ByteWriter& w, const core::SettlementReceipt& receipt);
-[[nodiscard]] Expected<core::SettlementReceipt> read_receipt(ByteReader& r);
+/// Reads one receipt; a short read or an unknown outcome latches on `r`.
+[[nodiscard]] core::SettlementReceipt read_receipt(ByteReader& r);
 
 /// Encoded size of the smallest receipt (empty PoC and failure reason):
 /// ue_id, cycle, completed, charged, rounds, PoC length, outcome,
-/// retransmits, reason length. Decoders reserve at most the bytes left
-/// divided by this, whatever count the input claims.
+/// retransmits, reason length. The receipt count is read through
+/// ByteReader::count() with it.
 inline constexpr std::size_t kMinEncodedReceiptSize =
     8 + 4 + 1 + 8 + 8 + 4 + 1 + 8 + 4;
 

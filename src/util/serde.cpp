@@ -1,7 +1,7 @@
 #include "util/serde.hpp"
 
 #include <bit>
-#include <cstring>
+#include <cassert>
 
 namespace tlc {
 
@@ -42,13 +42,35 @@ void ByteWriter::str(std::string_view text) {
   buffer_.insert(buffer_.end(), text.begin(), text.end());
 }
 
-Expected<std::uint8_t> ByteReader::u8() {
-  if (!need(1)) return Err("serde: truncated u8");
+bool ByteReader::need(std::size_t n, const char* what) {
+  if (remaining() >= n) return true;
+  if (!failed_) latch(std::string("serde: truncated ") + what, true);
+  return false;
+}
+
+void ByteReader::latch(std::string message, bool truncated) {
+  pos_ = data_.size();
+  if (failed_) return;
+  failed_ = true;
+  truncated_ = truncated;
+  error_ = std::move(message);
+}
+
+void ByteReader::fail(std::string message) {
+  latch(std::move(message), false);
+}
+
+Error ByteReader::error_or(std::string truncated) const {
+  return Err(truncated_ ? std::move(truncated) : error_);
+}
+
+std::uint8_t ByteReader::u8() {
+  if (!need(1, "u8")) return 0;
   return data_[pos_++];
 }
 
-Expected<std::uint16_t> ByteReader::u16() {
-  if (!need(2)) return Err("serde: truncated u16");
+std::uint16_t ByteReader::u16() {
+  if (!need(2, "u16")) return 0;
   std::uint16_t v = 0;
   for (int i = 0; i < 2; ++i) {
     v = static_cast<std::uint16_t>((v << 8) | data_[pos_++]);
@@ -56,8 +78,8 @@ Expected<std::uint16_t> ByteReader::u16() {
   return v;
 }
 
-Expected<std::uint32_t> ByteReader::u32() {
-  if (!need(4)) return Err("serde: truncated u32");
+std::uint32_t ByteReader::u32() {
+  if (!need(4, "u32")) return 0;
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i) {
     v = (v << 8) | data_[pos_++];
@@ -65,8 +87,8 @@ Expected<std::uint32_t> ByteReader::u32() {
   return v;
 }
 
-Expected<std::uint64_t> ByteReader::u64() {
-  if (!need(8)) return Err("serde: truncated u64");
+std::uint64_t ByteReader::u64() {
+  if (!need(8, "u64")) return 0;
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
     v = (v << 8) | data_[pos_++];
@@ -74,32 +96,34 @@ Expected<std::uint64_t> ByteReader::u64() {
   return v;
 }
 
-Expected<std::int64_t> ByteReader::i64() {
-  auto v = u64();
-  if (!v) return Err(v.error());
-  return static_cast<std::int64_t>(*v);
+std::int64_t ByteReader::i64() { return static_cast<std::int64_t>(u64()); }
+
+double ByteReader::f64() { return std::bit_cast<double>(u64()); }
+
+Bytes ByteReader::blob() {
+  const std::uint32_t len = u32();
+  if (!need(len, "blob body")) return {};
+  const auto begin = data_.begin() + static_cast<std::ptrdiff_t>(pos_);
+  pos_ += len;
+  return Bytes(begin, begin + len);
 }
 
-Expected<double> ByteReader::f64() {
-  auto v = u64();
-  if (!v) return Err(v.error());
-  return std::bit_cast<double>(*v);
+std::string ByteReader::str() {
+  const std::uint32_t len = u32();
+  if (!need(len, "str body")) return {};
+  const auto begin = data_.begin() + static_cast<std::ptrdiff_t>(pos_);
+  pos_ += len;
+  return std::string(begin, begin + len);
 }
 
-Expected<Bytes> ByteReader::blob() {
-  auto len = u32();
-  if (!len) return Err(len.error());
-  if (!need(*len)) return Err("serde: truncated blob body");
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + *len));
-  pos_ += *len;
-  return out;
-}
-
-Expected<std::string> ByteReader::str() {
-  auto raw = blob();
-  if (!raw) return Err(raw.error());
-  return std::string(raw->begin(), raw->end());
+std::uint32_t ByteReader::count(std::size_t min_encoded_size) {
+  assert(min_encoded_size > 0);
+  const std::uint32_t n = u32();
+  if (std::uint64_t{n} * min_encoded_size > remaining()) {
+    latch("serde: count past the bytes left", true);
+    return 0;
+  }
+  return n;
 }
 
 }  // namespace tlc

@@ -41,29 +41,58 @@ class ByteWriter {
   Bytes buffer_;
 };
 
-/// Reads fields back; every accessor fails cleanly on truncation.
+/// Reads fields back. The first failure latches: a short read, a count
+/// the bytes left cannot hold, or a fail() call. From then on ok() is
+/// false, error() holds that first error, the cursor sits at the end,
+/// and every read returns zero or empty. A decoder therefore reads one
+/// line per field and checks ok() once — at the end, and before any
+/// decoded value indexes, sizes, checksums or applies state.
 class ByteReader {
  public:
   explicit ByteReader(const Bytes& data) : data_(data) {}
 
-  [[nodiscard]] Expected<std::uint8_t> u8();
-  [[nodiscard]] Expected<std::uint16_t> u16();
-  [[nodiscard]] Expected<std::uint32_t> u32();
-  [[nodiscard]] Expected<std::uint64_t> u64();
-  [[nodiscard]] Expected<std::int64_t> i64();
-  [[nodiscard]] Expected<double> f64();
-  [[nodiscard]] Expected<Bytes> blob();
-  [[nodiscard]] Expected<std::string> str();
+  [[nodiscard]] std::uint8_t u8();
+  [[nodiscard]] std::uint16_t u16();
+  [[nodiscard]] std::uint32_t u32();
+  [[nodiscard]] std::uint64_t u64();
+  [[nodiscard]] std::int64_t i64();
+  [[nodiscard]] double f64();
+  [[nodiscard]] Bytes blob();
+  [[nodiscard]] std::string str();
+
+  /// A u32 count of records that each encode to at least
+  /// `min_encoded_size` bytes. A count the bytes left cannot hold
+  /// latches an error and reads as 0, so a loop or an allocation sized
+  /// by it is bounded by the input, whatever the input claims.
+  [[nodiscard]] std::uint32_t count(std::size_t min_encoded_size);
+
+  /// Latches a semantic error (an unknown enum, version or size) unless
+  /// an earlier error already holds the latch.
+  void fail(std::string message);
+
+  [[nodiscard]] bool ok() const { return !failed_; }
+  /// The first error: fail()'s message, or a "serde: ..." text for a
+  /// short read or an oversized count.
+  [[nodiscard]] const std::string& error() const { return error_; }
+  /// The first error as a decoder returns it: fail()'s message as
+  /// given, or `truncated` when the bytes ran out first. Only
+  /// meaningful when !ok().
+  [[nodiscard]] Error error_or(std::string truncated) const;
 
   /// Bytes not yet consumed.
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool exhausted() const { return remaining() == 0; }
 
  private:
-  [[nodiscard]] bool need(std::size_t n) const { return remaining() >= n; }
+  /// True when `n` more bytes are there; otherwise latches a short read.
+  [[nodiscard]] bool need(std::size_t n, const char* what);
+  void latch(std::string message, bool truncated);
 
   const Bytes& data_;
   std::size_t pos_ = 0;
+  bool failed_ = false;
+  bool truncated_ = false;
+  std::string error_;
 };
 
 }  // namespace tlc

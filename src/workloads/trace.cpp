@@ -52,35 +52,20 @@ Expected<Trace> Trace::deserialize(const Bytes& data) {
     return Err("trace: integrity tag mismatch");
   }
   ByteReader r(body);
-  auto magic = r.u32();
-  if (!magic || *magic != kTraceMagic) return Err("trace: bad magic");
+  if (r.u32() != kTraceMagic) r.fail("trace: bad magic");
   Trace trace;
-  auto description = r.str();
-  if (!description) return Err("trace: " + description.error());
-  trace.description = *description;
-  auto count = r.u32();
-  if (!count) return Err("trace: " + count.error());
-  // A count is untrusted until the bytes behind it are read: reserve
-  // no more entries than the body can still hold.
+  trace.description = r.str();
   constexpr std::size_t kMinEntrySize = 8 + 4 + 1 + 1;
-  trace.entries.reserve(
-      std::min<std::size_t>(*count, r.remaining() / kMinEntrySize));
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    TraceEntry entry;
-    auto offset = r.i64();
-    if (!offset) return Err("trace: " + offset.error());
-    entry.offset = *offset;
-    auto size = r.u32();
-    if (!size) return Err("trace: " + size.error());
-    entry.size_bytes = *size;
-    auto direction = r.u8();
-    if (!direction || *direction > 1) return Err("trace: bad direction");
-    entry.direction = static_cast<sim::Direction>(*direction);
-    auto qci = r.u8();
-    if (!qci) return Err("trace: " + qci.error());
-    entry.qci = static_cast<sim::Qci>(*qci);
-    trace.entries.push_back(entry);
+  trace.entries.resize(r.count(kMinEntrySize));
+  for (TraceEntry& entry : trace.entries) {
+    entry.offset = r.i64();
+    entry.size_bytes = r.u32();
+    const std::uint8_t direction = r.u8();
+    if (direction > 1) r.fail("trace: bad direction");
+    entry.direction = static_cast<sim::Direction>(direction);
+    entry.qci = static_cast<sim::Qci>(r.u8());
   }
+  if (!r.ok()) return r.error_or("trace: truncated");
   return trace;
 }
 

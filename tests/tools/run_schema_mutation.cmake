@@ -88,19 +88,21 @@ lint_mutant(widen_checkpoint_magic src/recovery/checkpoint.cpp
   "w.u32(kCheckpointMagic);" "w.u64(kCheckpointMagic);"
   1 "WIRE LAYOUT CHANGED")
 
-# Widened cycle counter in the OFCS snapshot.
+# Widened cycle counter in the OFCS snapshot (which inlines the
+# full-width CDR codec from src/epc/cdr.cpp).
 lint_mutant(widen_ofcs_next_cycle src/epc/ofcs.cpp
   "w.u32(state.next_cycle);" "w.u64(state.next_cycle);"
-  1 "WIRE LAYOUT CHANGED")
+  1 "WIRE LAYOUT CHANGED" src/epc/cdr.cpp)
 
 # --- Streaming-ingest codecs (DESIGN.md §16) ---------------------------
 
 # Control: the pristine ingest TU must lint clean against the goldens.
 lint_mutant(control_ingest src/charging/ingest.cpp "" "" 0 "")
 
-# Widened charging id shifts every later Merkle-leaf field — and would
-# silently change every leaf hash and batch root.
-lint_mutant(widen_ingest_leaf_charging_id src/charging/ingest.cpp
+# Widened charging id in the full-width CDR codec shifts every later
+# Merkle-leaf field — and would silently change every leaf hash and
+# batch root.
+lint_mutant(widen_full_cdr_charging_id src/epc/cdr.cpp
   "w.u16(cdr.charging_id);" "w.u32(cdr.charging_id);"
   1 "WIRE LAYOUT CHANGED")
 

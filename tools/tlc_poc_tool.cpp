@@ -70,17 +70,13 @@ Expected<crypto::RsaKeyPair> load_keypair(const std::string& prefix) {
   if (!raw) return Err(prefix + ".key: " + raw.error());
   // Private key file: blob(n) blob(d) blob(p) blob(q).
   ByteReader r(*raw);
-  auto n = r.blob();
-  auto d = r.blob();
-  auto p = r.blob();
-  auto q = r.blob();
-  if (!n || !d || !p || !q) return Err(prefix + ".key: malformed");
   crypto::RsaKeyPair pair;
   pair.public_key = *pub;
-  pair.private_key.n = crypto::BigUInt::from_bytes(*n);
-  pair.private_key.d = crypto::BigUInt::from_bytes(*d);
-  pair.private_key.p = crypto::BigUInt::from_bytes(*p);
-  pair.private_key.q = crypto::BigUInt::from_bytes(*q);
+  pair.private_key.n = crypto::BigUInt::from_bytes(r.blob());
+  pair.private_key.d = crypto::BigUInt::from_bytes(r.blob());
+  pair.private_key.p = crypto::BigUInt::from_bytes(r.blob());
+  pair.private_key.q = crypto::BigUInt::from_bytes(r.blob());
+  if (!r.ok()) return Err(prefix + ".key: malformed");
   const crypto::BigUInt one{1};
   pair.private_key.d_p = pair.private_key.d % (pair.private_key.p - one);
   pair.private_key.d_q = pair.private_key.d % (pair.private_key.q - one);

@@ -512,6 +512,7 @@ void run_semantic(const SourceModel& model, const Options& options,
                   sem);
     }
   }
+  if (rule_enabled(options, "wire-count")) check_wire_counts(model, sem);
   if (rule_enabled(options, "lock-cycle") ||
       rule_enabled(options, "lock-discipline")) {
     check_locks(model, sem);
@@ -612,7 +613,8 @@ const std::vector<std::string>& all_rules() {
       "wallclock",       "float-money",      "unordered-iter",
       "nodiscard-expected", "naked-mutex",   "journal-write",
       "schema-coverage", "schema-asymmetry", "schema-drift",
-      "lock-cycle",      "lock-discipline",  "seed-stream"};
+      "wire-count",      "lock-cycle",       "lock-discipline",
+      "seed-stream"};
   return kRules;
 }
 

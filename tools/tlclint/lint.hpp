@@ -36,6 +36,9 @@
 //                      under tools/schemas/ (only with --schemas-dir);
 //                      layout changes additionally demand a version-
 //                      constant bump
+//   wire-count         an integer read from a ByteReader by u8..u64
+//                      that sizes a loop or an allocation without
+//                      going through ByteReader::count()
 //   lock-cycle         cycle in the cross-TU util::Mutex acquisition
 //                      graph (locks.hpp), incl. self-re-acquisition
 //   lock-discipline    naked .lock()/.unlock() on a util::Mutex

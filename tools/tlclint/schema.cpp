@@ -16,9 +16,14 @@ namespace {
 namespace fs = std::filesystem;
 
 const std::set<std::string>& serde_kinds() {
-  static const std::set<std::string> kKinds = {"u8",  "u16", "u32", "u64",
-                                               "i64", "f64", "blob", "str"};
+  static const std::set<std::string> kKinds = {
+      "u8", "u16", "u32", "u64", "i64", "f64", "blob", "str", "count"};
   return kKinds;
+}
+
+/// Wire kind of a serde method: ByteReader::count() reads a u32.
+std::string wire_kind(const std::string& method) {
+  return method == "count" ? "u32" : method;
 }
 
 std::size_t skip_ws(const std::string& t, std::size_t i, std::size_t end) {
@@ -242,9 +247,12 @@ class Extractor {
       if (ke >= end || t[ke] != '(') continue;
       const std::size_t close = match_delim(t, ke, end, '(', ')');
       SerdeOp op;
-      op.kind = kind;
+      op.kind = wire_kind(kind);
       op.loop_depth = depth_at(spans, i);
-      op.arg = normalize_ws(t.substr(ke + 1, close - ke - 1));
+      // count()'s argument is a decode-side size bound, not a field.
+      if (kind != "count") {
+        op.arg = normalize_ws(t.substr(ke + 1, close - ke - 1));
+      }
       if (op.arg.size() > 60) op.arg = op.arg.substr(0, 57) + "...";
       op.line = f.line_of(i);
       events.push_back({i, {std::move(op)}});
@@ -796,6 +804,205 @@ void check_drift(const SchemaAnalysis& analysis,
                 p.stem().string() +
                 "' — delete the file or restore the codec pragma";
     findings.push_back(std::move(f));
+  }
+}
+
+namespace {
+
+/// Start of the statement holding offset `pos`: just past the nearest
+/// ';', '{' or '}' before it.
+std::size_t statement_begin(const std::string& t, std::size_t begin,
+                            std::size_t pos) {
+  while (pos > begin && t[pos - 1] != ';' && t[pos - 1] != '{' &&
+         t[pos - 1] != '}') {
+    --pos;
+  }
+  return pos;
+}
+
+/// The identifier a read at `pos` is assigned to (`n = r.u32()`, with
+/// any `const T` or member prefix), or "" when the read is not the
+/// right-hand side of an assignment.
+std::string assigned_name(const std::string& t, std::size_t stmt,
+                          std::size_t pos) {
+  std::size_t i = pos;
+  while (i > stmt && (t[i - 1] == ' ' || t[i - 1] == '\n')) --i;
+  // See through one `static_cast<T>(` wrapped around the read.
+  if (i > stmt && t[i - 1] == '(' && i > stmt + 1 && t[i - 2] == '>') {
+    const std::size_t cast = t.rfind("static_cast<", i - 2);
+    if (cast != std::string::npos && cast >= stmt) {
+      i = cast;
+      while (i > stmt && (t[i - 1] == ' ' || t[i - 1] == '\n')) --i;
+    }
+  }
+  if (i == stmt || t[i - 1] != '=') return "";
+  --i;
+  if (i > stmt && std::string("=!<>+-*/").find(t[i - 1]) !=
+                      std::string::npos) {
+    return "";  // a comparison or a compound operator
+  }
+  while (i > stmt && (t[i - 1] == ' ' || t[i - 1] == '\n')) --i;
+  std::size_t e = i;
+  while (i > stmt && is_ident_char(t[i - 1])) --i;
+  return t.substr(i, e - i);
+}
+
+/// True when statement `s` declares a container sized by `name`:
+/// `std::vector<T> v(n)`, `Bytes out(n)`.
+bool sized_container(const std::string& s, const std::string& name) {
+  for (const char* type : {"vector", "Bytes", "string", "deque"}) {
+    const auto hits = find_word(s, type);
+    if (hits.empty()) continue;
+    const std::size_t eq = s.find('=');
+    const std::size_t open = s.find('(', hits[0]);
+    if (open == std::string::npos || (eq != std::string::npos && eq < open)) {
+      continue;
+    }
+    const std::size_t close = match_delim(s, open, s.size(), '(', ')');
+    if (!find_word(s.substr(open, close - open), name).empty()) return true;
+  }
+  return false;
+}
+
+/// The sink that statement `stmt` (or loop header) makes of `name`: a
+/// loop bound, a container sizing call, or a sized container; "" when
+/// it makes none.
+std::string count_sink(const std::string& stmt, const std::string& name) {
+  if (find_word(stmt, name).empty()) return "";
+  const std::string s = normalize_ws(stmt);
+  for (const char* loop : {"for", "while"}) {
+    const auto hits = find_word(s, loop);
+    if (hits.empty() || hits[0] != 0) continue;
+    const std::size_t open = s.find('(');
+    if (open == std::string::npos) continue;
+    const std::string header =
+        s.substr(open, match_delim(s, open, s.size(), '(', ')') - open);
+    // A range-for walks a container, not a count.
+    if (find_word(header, name).empty() ||
+        (std::string(loop) == "for" && header.find(';') == std::string::npos)) {
+      continue;
+    }
+    return std::string(loop) + " bound";
+  }
+  for (const char* call : {"reserve", "resize", "assign"}) {
+    for (std::size_t at : find_word(s, call)) {
+      const std::size_t open = at + std::string(call).size();
+      if (at == 0 || s[at - 1] != '.' || open >= s.size() || s[open] != '(') {
+        continue;
+      }
+      const std::size_t close = match_delim(s, open, s.size(), '(', ')');
+      if (!find_word(s.substr(open, close - open), name).empty()) return call;
+    }
+  }
+  return sized_container(s, name) ? "sized constructor" : "";
+}
+
+/// Every statement (or loop header) in [from, end), split at ';', '{'
+/// and '}' outside parentheses.
+std::vector<std::string> statements_after(const std::string& t,
+                                          std::size_t from, std::size_t end) {
+  std::vector<std::string> out;
+  std::size_t i = from;
+  while (i < end) {
+    std::size_t e = i;
+    int paren = 0;
+    while (e < end) {
+      const char c = t[e];
+      if (c == '(') ++paren;
+      if (c == ')') --paren;
+      if (paren == 0 && (c == ';' || c == '{' || c == '}')) break;
+      ++e;
+    }
+    if (!trim(t.substr(i, e - i)).empty()) out.push_back(t.substr(i, e - i));
+    i = e + 1;
+  }
+  return out;
+}
+
+}  // namespace
+
+void check_wire_counts(const SourceModel& model,
+                       std::vector<Finding>& findings) {
+  static const std::set<std::string> kIntReads = {"u8", "u16", "u32",
+                                                  "u64"};
+  for (const SourceFile& f : model.files()) {
+    const std::string& t = f.joined;
+    for (const FunctionDef& fn : f.functions) {
+      static const std::string kReader = "ByteReader";
+      std::set<std::string> readers;
+      const auto add_readers = [&readers](const std::string& text,
+                                          std::size_t b, std::size_t e) {
+        for (std::size_t pos : find_word(text.substr(b, e - b), kReader)) {
+          const std::string var =
+              var_after_type(text, b + pos + kReader.size(), e);
+          if (!var.empty()) readers.insert(var);
+        }
+      };
+      add_readers(t, fn.body_begin, fn.body_end);
+      add_readers(fn.head, 0, fn.head.size());
+      if (readers.empty()) continue;
+
+      for (std::size_t i = fn.body_begin; i < fn.body_end; ++i) {
+        if (t[i] != '.') continue;
+        std::size_t vb = i;
+        while (vb > fn.body_begin && is_ident_char(t[vb - 1])) --vb;
+        if (vb == i || readers.count(t.substr(vb, i - vb)) == 0) continue;
+        if (vb > fn.body_begin &&
+            (is_ident_char(t[vb - 1]) || t[vb - 1] == '.')) {
+          continue;
+        }
+        std::size_t ke = i + 1;
+        while (ke < fn.body_end && is_ident_char(t[ke])) ++ke;
+        const std::string kind = t.substr(i + 1, ke - i - 1);
+        if (kIntReads.count(kind) == 0 || ke >= fn.body_end ||
+            t[ke] != '(') {
+          continue;
+        }
+        const std::size_t line = f.line_of(vb);
+        if (f.pragmas.allowed(line, "wire-count")) continue;
+        const std::size_t stmt = statement_begin(t, fn.body_begin, vb);
+        const std::string name = assigned_name(t, stmt, vb);
+        std::string sink;
+        if (name.empty()) {
+          // The read itself sits in the sink: `v.resize(r.u32())`, a
+          // loop header, `std::vector<T> v(r.u32())`. Walk out to the
+          // nearest unmatched '(' within the enclosing block.
+          const std::string read = t.substr(vb, ke - vb);
+          int depth = 0;
+          for (std::size_t j = vb; j > fn.body_begin; --j) {
+            const char c = t[j - 1];
+            if (c == '{' || c == '}') break;
+            if (c == ')') ++depth;
+            if (c != '(' || depth-- > 0) continue;
+            std::size_t kw = j - 1;
+            while (kw > fn.body_begin && t[kw - 1] == ' ') --kw;
+            std::size_t kb = kw;
+            while (kb > fn.body_begin && is_ident_char(t[kb - 1])) --kb;
+            const std::string word = t.substr(kb, kw - kb);
+            const std::size_t from = word == "for" || word == "while"
+                                         ? kb
+                                         : statement_begin(t, fn.body_begin, kb);
+            sink = count_sink(
+                t.substr(from, match_delim(t, j - 1, fn.body_end, '(', ')') +
+                                   1 - from),
+                read);
+            break;
+          }
+        } else {
+          for (const std::string& text :
+               statements_after(t, ke, fn.body_end)) {
+            sink = count_sink(text, name);
+            if (!sink.empty()) break;
+          }
+        }
+        if (sink.empty()) continue;
+        finding_at(findings, "wire-count", f, line,
+                   "'" + t.substr(vb, ke - vb) + "()' from a ByteReader "
+                   "reaches a " + sink + " — read counts with "
+                   "ByteReader::count(min_encoded_size) so the bytes left "
+                   "bound them");
+      }
+    }
   }
 }
 

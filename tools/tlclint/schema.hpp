@@ -43,7 +43,7 @@ namespace tlclint {
 
 /// One serde call: kind is the ByteWriter/ByteReader method name.
 struct SerdeOp {
-  std::string kind;     // u8 u16 u32 u64 i64 f64 blob str
+  std::string kind;     // u8 u16 u32 u64 i64 f64 blob str (count: u32)
   int loop_depth = 0;   // number of enclosing for/while/do bodies
   std::string arg;      // normalized encode-side expression ("" decode)
   std::size_t line = 0;  // 0-based
@@ -91,6 +91,13 @@ void check_asymmetry(const SchemaAnalysis& analysis,
 void check_drift(const SchemaAnalysis& analysis,
                  const std::string& schemas_dir, const std::string& root,
                  bool complete_model, std::vector<Finding>& findings);
+
+/// wire-count: an integer read from a ByteReader by u8..u64 that
+/// reaches a for/while bound, reserve/resize/assign, or a sized
+/// container constructor. Such counts must come from
+/// ByteReader::count(), which bounds them by the bytes left.
+void check_wire_counts(const SourceModel& model,
+                       std::vector<Finding>& findings);
 
 /// Writes/updates goldens. Returns 0 on success, 2 when a layout
 /// change without a version bump was refused (unless `force`).
