@@ -12,17 +12,28 @@
 //                      (the pre-coalescing workload shape)
 //   arrivals_batched   one self-rescheduling drain event per frame,
 //                      consuming the frame's packets chunk by chunk
+//   enodeb_dense_dl    one eNodeB serving 48 UEs whose radios drop out
+//                      10% of the time in 0.5 s outages, under Poisson
+//                      downlink load at 95% of the cell's capacity: the
+//                      scheduler's per-packet cost with offline UEs'
+//                      backlog queued around the served ones
 //
 // Each case reports median-of-3 events/sec (packets/sec for the arrival
-// cases, so the two shapes are directly comparable).
+// cases, so the two shapes are directly comparable). enodeb_dense_dl
+// also reports its delivered and delay-budget-dropped packets and the
+// wall time per packet served. The counts are deterministic for a seed:
+// tools/bench_check.py compares them with the committed record.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "epc/enodeb.hpp"
+#include "sim/radio.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -41,6 +52,11 @@ struct Row {
   std::uint64_t events;
   double wall_seconds;
   double events_per_second;
+  /// enodeb_dense_dl only: served = delivered + air-dropped.
+  bool has_dl = false;
+  std::uint64_t dl_delivered = 0;
+  std::uint64_t dl_pdb_drops = 0;
+  double ns_per_served_packet = 0.0;
 };
 
 // Accumulator the event bodies write through so the optimizer cannot
@@ -149,6 +165,122 @@ double bench_arrivals_batched(std::uint64_t packets) {
   return seconds_since(start);
 }
 
+constexpr std::size_t kDenseUes = 48;
+constexpr std::uint32_t kDensePacketBytes = 1400;
+constexpr double kDenseLoad = 0.95;
+
+/// A UE modem that only counts what it receives.
+class CountingModem final : public epc::RrcEndpoint {
+ public:
+  [[nodiscard]] std::uint64_t modem_tx_bytes() const override { return 0; }
+  [[nodiscard]] std::uint64_t modem_rx_bytes() const override {
+    return rx_bytes_;
+  }
+  void modem_deliver(const sim::Packet& packet) override {
+    rx_bytes_ += packet.size_bytes;
+  }
+
+ private:
+  std::uint64_t rx_bytes_ = 0;
+};
+
+struct DenseDlResult {
+  double wall_seconds = 0.0;
+  std::uint64_t events = 0;
+  epc::EnodeB::Stats stats;
+};
+
+DenseDlResult bench_enodeb_dense_dl(SimTime horizon, std::uint64_t seed) {
+  sim::Simulator sim;
+  const epc::EnodebParams params;
+  Rng rng(seed);
+  epc::EnodeB enodeb(sim, params, Rng(seed ^ 0xe0dbULL));
+  sim::RadioParams radio_params;
+  radio_params.mean_rss_dbm = -80.0;
+  radio_params.disconnect_ratio = 0.1;
+  radio_params.mean_outage_s = 0.5;
+  std::vector<std::unique_ptr<sim::RadioChannel>> radios;
+  std::vector<std::unique_ptr<CountingModem>> modems;
+  for (std::size_t i = 0; i < kDenseUes; ++i) {
+    radios.push_back(std::make_unique<sim::RadioChannel>(
+        radio_params, Rng(seed * 1000 + i)));
+    modems.push_back(std::make_unique<CountingModem>());
+    enodeb.add_ue(epc::Imsi{1000 + i}, modems.back().get(),
+                  radios.back().get());
+  }
+
+  // Each UE's downlink is a self-rescheduling Poisson source.
+  const double mean_gap_s = static_cast<double>(kDensePacketBytes) * 8.0 *
+                            static_cast<double>(kDenseUes) /
+                            (kDenseLoad * params.dl_capacity_bps);
+  std::uint64_t next_id = 1;
+  struct Source {
+    sim::Simulator* sim;
+    epc::EnodeB* enodeb;
+    Rng* rng;
+    std::uint64_t* next_id;
+    epc::Imsi imsi;
+    double mean_gap_s;
+    SimTime horizon;
+    void emit() {
+      sim::Packet packet;
+      packet.id = (*next_id)++;
+      packet.size_bytes = kDensePacketBytes;
+      packet.direction = sim::Direction::Downlink;
+      packet.created_at = sim->now();
+      enodeb->downlink_submit(imsi, packet);
+      const SimTime gap = from_seconds(rng->exponential(mean_gap_s));
+      if (sim->now() + gap < horizon) {
+        sim->schedule_after(gap, [this] { emit(); });
+      }
+    }
+  };
+  std::vector<Source> sources;
+  sources.reserve(kDenseUes);
+  const auto start = Clock::now();
+  for (std::size_t i = 0; i < kDenseUes; ++i) {
+    sources.push_back(Source{&sim, &enodeb, &rng, &next_id,
+                             epc::Imsi{1000 + i}, mean_gap_s, horizon});
+    Source* source = &sources.back();
+    sim.schedule_at(from_seconds(rng.exponential(mean_gap_s)),
+                    [source] { source->emit(); });
+  }
+  sim.run_until(horizon);
+  DenseDlResult result;
+  result.wall_seconds = seconds_since(start);
+  result.events = sim.executed();
+  result.stats = enodeb.stats();
+  return result;
+}
+
+Row sample_enodeb_dense_dl(SimTime horizon, std::uint64_t seed) {
+  std::vector<DenseDlResult> runs;
+  for (int i = 0; i < kSamples; ++i) {
+    runs.push_back(bench_enodeb_dense_dl(horizon, seed));
+  }
+  std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+    return a.wall_seconds < b.wall_seconds;
+  });
+  const DenseDlResult& median = runs[runs.size() / 2];
+  const epc::EnodeB::Stats& stats = median.stats;
+  const std::uint64_t served = stats.dl_delivered + stats.dl_air_drops;
+  Row row{"enodeb_dense_dl", median.events, median.wall_seconds,
+          static_cast<double>(median.events) / median.wall_seconds};
+  row.has_dl = true;
+  row.dl_delivered = stats.dl_delivered;
+  row.dl_pdb_drops = stats.dl_pdb_drops;
+  row.ns_per_served_packet =
+      served == 0 ? 0.0 : median.wall_seconds * 1e9 / static_cast<double>(served);
+  std::printf("%20s %14llu %10.3f %16.0f  delivered=%llu pdb_drops=%llu "
+              "%.0f ns/served packet\n",
+              row.name.c_str(), static_cast<unsigned long long>(row.events),
+              row.wall_seconds, row.events_per_second,
+              static_cast<unsigned long long>(row.dl_delivered),
+              static_cast<unsigned long long>(row.dl_pdb_drops),
+              row.ns_per_served_packet);
+  return row;
+}
+
 template <typename Fn>
 Row sample(const std::string& name, std::uint64_t events, Fn&& body) {
   std::vector<double> walls;
@@ -175,10 +307,19 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
     const Row& row = rows[i];
     std::fprintf(f,
                  "    {\"case\": \"%s\", \"events\": %llu, "
-                 "\"wall_seconds\": %.3f, \"events_per_second\": %.0f}%s\n",
+                 "\"wall_seconds\": %.3f, \"events_per_second\": %.0f",
                  row.name.c_str(),
                  static_cast<unsigned long long>(row.events), row.wall_seconds,
-                 row.events_per_second, i + 1 < rows.size() ? "," : "");
+                 row.events_per_second);
+    if (row.has_dl) {
+      std::fprintf(f,
+                   ", \"dl_delivered\": %llu, \"dl_pdb_drops\": %llu, "
+                   "\"ns_per_served_packet\": %.1f",
+                   static_cast<unsigned long long>(row.dl_delivered),
+                   static_cast<unsigned long long>(row.dl_pdb_drops),
+                   row.ns_per_served_packet);
+    }
+    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -207,6 +348,8 @@ int run(const BenchOptions& options) {
   rows.push_back(sample("arrivals_batched", n, [&] {
     return bench_arrivals_batched(n);
   }));
+  rows.push_back(sample_enodeb_dense_dl(
+      options.full ? 600 * kSecond : 120 * kSecond, options.seed));
 
   std::printf("\n(sink=%llu)\n", static_cast<unsigned long long>(g_sink));
   if (!options.json_path.empty()) {

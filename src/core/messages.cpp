@@ -82,6 +82,7 @@ Expected<SignedCdr> decode_signed_cdr(const Bytes& wire) {
   SignedCdr cdr;
   cdr.signature = outer.blob();
   if (!outer.ok()) return Err("cdr: " + outer.error());
+  if (!outer.exhausted()) return Err("cdr: trailing bytes");
 
   // tlclint: codec(msg_cdr_body, decode, version=kMessageWireVersion)
   ByteReader r(body);
@@ -92,6 +93,7 @@ Expected<SignedCdr> decode_signed_cdr(const Bytes& wire) {
   cdr.body.nonce = r.u64();
   cdr.body.volume = r.u64();
   if (!r.ok()) return Err("cdr: " + r.error());
+  if (!r.exhausted()) return Err("cdr: trailing bytes in body");
   return cdr;
 }
 
@@ -134,6 +136,7 @@ Expected<SignedCda> decode_signed_cda(const Bytes& wire) {
   SignedCda cda;
   cda.signature = outer.blob();
   if (!outer.ok()) return Err("cda: " + outer.error());
+  if (!outer.exhausted()) return Err("cda: trailing bytes");
 
   // tlclint: codec(msg_cda_body, decode, version=kMessageWireVersion)
   ByteReader r(body);
@@ -145,6 +148,7 @@ Expected<SignedCda> decode_signed_cda(const Bytes& wire) {
   cda.body.volume = r.u64();
   cda.body.peer_cdr_wire = r.blob();
   if (!r.ok()) return Err("cda: " + r.error());
+  if (!r.exhausted()) return Err("cda: trailing bytes in body");
   return cda;
 }
 
@@ -196,6 +200,7 @@ Expected<SignedPoc> decode_signed_poc(const Bytes& wire) {
   poc.nonce_edge = outer.u64();
   poc.nonce_operator = outer.u64();
   if (!outer.ok()) return Err("poc: " + outer.error());
+  if (!outer.exhausted()) return Err("poc: trailing bytes");
 
   // tlclint: codec(msg_poc_body, decode, version=kMessageWireVersion)
   ByteReader r(body);
@@ -206,6 +211,7 @@ Expected<SignedPoc> decode_signed_poc(const Bytes& wire) {
   poc.body.charged = r.u64();
   poc.body.cda_wire = r.blob();
   if (!r.ok()) return Err("poc: " + r.error());
+  if (!r.exhausted()) return Err("poc: trailing bytes in body");
   return poc;
 }
 

@@ -142,6 +142,7 @@ Expected<PocStore> PocStore::deserialize(const Bytes& data) {
     entry = std::move(*decoded);
   }
   if (!r.ok()) return r.error_or("poc store: truncated archive");
+  if (!r.exhausted()) return Err("poc store: trailing bytes");
   return store;
 }
 

@@ -71,6 +71,7 @@ Expected<RsaPublicKey> RsaPublicKey::deserialize(const Bytes& data) {
   const Bytes n_bytes = reader.blob();
   const Bytes e_bytes = reader.blob();
   if (!reader.ok()) return Err("rsa pubkey: " + reader.error());
+  if (!reader.exhausted()) return Err("rsa pubkey: trailing bytes");
   RsaPublicKey key;
   key.n = BigUInt::from_bytes(n_bytes);
   key.e = BigUInt::from_bytes(e_bytes);

@@ -1,6 +1,7 @@
 #include "epc/enodeb.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "util/logging.hpp"
 
@@ -9,6 +10,13 @@ namespace {
 
 /// COUNTER CHECK request/response round trip over RRC.
 constexpr SimTime kCounterCheckDelay = 20 * kMillisecond;
+
+/// Children of heap position i are kArity * i + 1 ... kArity * i + kArity.
+constexpr std::uint32_t kArity = 4;
+/// pick's walk stack: it holds at most kArity - 1 waiting siblings per
+/// level above the current one plus kArity children, 52 entries for the
+/// 17 levels of a 4-ary heap with 2^32 entries.
+constexpr std::size_t kWalkStack = 64;
 
 }  // namespace
 
@@ -192,18 +200,72 @@ bool EnodeB::enqueue(QueueSet& set, std::size_t q, UeCtx& ue,
     node = static_cast<std::uint32_t>(set.pool.size());
     set.pool.emplace_back();
   }
-  set.pool[node] = Node{packet, set.next_seq++, kNil};
+  const std::uint64_t seq = set.next_seq++;
+  set.pool[node] = Node{packet, seq, kNil};
   UeFifo& fifo = ue.fifos[set.direction][q];
   if (fifo.head == kNil) {
+    // The newest seq in the set is above every queued head, so the UE
+    // joins at the heap's end and needs no sift.
+    auto& heap = set.backlogged[q];
+    const auto pos = static_cast<std::uint32_t>(heap.size());
+    assert(pos == 0 || heap[(pos - 1) / kArity].head_seq < seq);
     fifo.head = node;
-    fifo.active_slot = static_cast<std::uint32_t>(set.active[q].size());
-    set.active[q].push_back(&ue);
+    fifo.heap_pos = pos;
+    heap.push_back(HeapItem{seq, &ue});
   } else {
     set.pool[fifo.tail].next = node;
   }
   fifo.tail = node;
   set.bytes[q] += packet.size_bytes;
   return true;
+}
+
+void EnodeB::heap_place(QueueSet& set, std::size_t q, std::uint32_t pos,
+                        HeapItem item) {
+  item.ue->fifos[set.direction][q].heap_pos = pos;
+  set.backlogged[q][pos] = item;
+}
+
+void EnodeB::heap_sift_down(QueueSet& set, std::size_t q,
+                            std::uint32_t pos) {
+  auto& heap = set.backlogged[q];
+  const auto size = static_cast<std::uint32_t>(heap.size());
+  const HeapItem item = heap[pos];
+  for (;;) {
+    const std::uint32_t first = kArity * pos + 1;
+    if (first >= size) break;
+    const std::uint32_t last = std::min(first + kArity, size);
+    std::uint32_t least = first;
+    for (std::uint32_t c = first + 1; c < last; ++c) {
+      if (heap[c].head_seq < heap[least].head_seq) least = c;
+    }
+    if (heap[least].head_seq > item.head_seq) break;
+    heap_place(set, q, pos, heap[least]);
+    pos = least;
+  }
+  heap_place(set, q, pos, item);
+}
+
+void EnodeB::heap_sift_up(QueueSet& set, std::size_t q, std::uint32_t pos) {
+  auto& heap = set.backlogged[q];
+  const HeapItem item = heap[pos];
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / kArity;
+    if (heap[parent].head_seq < item.head_seq) break;
+    heap_place(set, q, pos, heap[parent]);
+    pos = parent;
+  }
+  heap_place(set, q, pos, item);
+}
+
+void EnodeB::heap_erase(QueueSet& set, std::size_t q, std::uint32_t pos) {
+  auto& heap = set.backlogged[q];
+  const HeapItem moved = heap.back();
+  heap.pop_back();
+  if (pos == heap.size()) return;
+  heap_place(set, q, pos, moved);
+  heap_sift_up(set, q, pos);
+  heap_sift_down(set, q, moved.ue->fifos[set.direction][q].heap_pos);
 }
 
 sim::Packet EnodeB::take(QueueSet& set, const Entry& entry) {
@@ -220,19 +282,19 @@ sim::Packet EnodeB::take(QueueSet& set, const Entry& entry) {
   set.bytes[entry.queue] -= node.packet.size_bytes;
 
   if (fifo.head == kNil) {
-    // Swap-remove the UE from the queue's backlogged list.
-    auto& active = set.active[entry.queue];
-    UeCtx* moved = active.back();
-    active[fifo.active_slot] = moved;
-    moved->fifos[set.direction][entry.queue].active_slot = fifo.active_slot;
-    active.pop_back();
+    heap_erase(set, entry.queue, fifo.heap_pos);
+  } else if (entry.prev == kNil) {
+    // The UE's head moved back in the shared order.
+    set.backlogged[entry.queue][fifo.heap_pos].head_seq =
+        set.pool[fifo.head].seq;
+    heap_sift_down(set, entry.queue, fifo.heap_pos);
   }
   return node.packet;
 }
 
 bool EnodeB::has_backlog(const QueueSet& set) {
-  return std::any_of(set.active.begin(), set.active.end(),
-                     [](const auto& ues) { return !ues.empty(); });
+  return std::any_of(set.backlogged.begin(), set.backlogged.end(),
+                     [](const auto& heap) { return !heap.empty(); });
 }
 
 void EnodeB::downlink_submit(Imsi imsi, const sim::Packet& packet) {
@@ -264,25 +326,46 @@ std::optional<EnodeB::Entry> EnodeB::pick(QueueSet& set) {
   // Each backlogged UE offers its oldest packet the token bucket admits
   // (a throttled UE's smaller packet can pass its own too-large head);
   // the lowest seq among in-coverage UEs is the packet a scan of the
-  // shared FIFO would reach first. connected(now) is asked once per UE:
-  // the radio's state at `now` does not depend on how often it is asked.
+  // shared FIFO would reach first. The walk starts at the heap root and
+  // skips every subtree whose root head is above the best seq found:
+  // a UE offers no packet below its head, and its heap descendants'
+  // heads are above its own. A UE that offers its head ends its
+  // subtree the same way. connected(now) is asked at most once per UE:
+  // the radio's state at `now` does not depend on whether it is asked.
   const SimTime now = sim_.now();
   for (std::size_t q = 0; q < kQueues; ++q) {
+    const auto& heap = set.backlogged[q];
+    const auto size = static_cast<std::uint32_t>(heap.size());
+    if (size == 0) continue;
     std::optional<Entry> best;
     std::uint64_t best_seq = 0;
-    for (UeCtx* ue : set.active[q]) {
-      if (!ue->radio->connected(now)) continue;
-      std::uint32_t prev = kNil;
-      for (std::uint32_t n = ue->fifos[set.direction][q].head; n != kNil;
-           prev = n, n = set.pool[n].next) {
-        const Node& node = set.pool[n];
-        if (best && node.seq > best_seq) break;
-        if (rate_tokens_available(*ue, node.packet.size_bytes)) {
-          best = Entry{ue, q, n, prev};
-          best_seq = node.seq;
-          break;
+    std::array<std::uint32_t, kWalkStack> stack;
+    std::size_t depth = 0;
+    stack[depth++] = 0;
+    while (depth > 0) {
+      const std::uint32_t pos = stack[--depth];
+      const HeapItem& item = heap[pos];
+      if (best && item.head_seq > best_seq) continue;
+      UeCtx* ue = item.ue;
+      bool offers_head = false;
+      if (ue->radio->connected(now)) {
+        std::uint32_t prev = kNil;
+        for (std::uint32_t n = ue->fifos[set.direction][q].head; n != kNil;
+             prev = n, n = set.pool[n].next) {
+          const Node& node = set.pool[n];
+          if (best && node.seq > best_seq) break;
+          if (rate_tokens_available(*ue, node.packet.size_bytes)) {
+            best = Entry{ue, q, n, prev};
+            best_seq = node.seq;
+            offers_head = prev == kNil;
+            break;
+          }
         }
       }
+      if (offers_head) continue;
+      const std::uint32_t first = kArity * pos + 1;
+      const std::uint32_t last = std::min(first + kArity, size);
+      for (std::uint32_t c = last; c > first;) stack[depth++] = --c;
     }
     if (best) return best;
   }
@@ -291,14 +374,10 @@ std::optional<EnodeB::Entry> EnodeB::pick(QueueSet& set) {
 
 std::optional<EnodeB::Entry> EnodeB::queue_head(QueueSet& set,
                                                std::size_t q) {
-  std::optional<Entry> head;
-  for (UeCtx* ue : set.active[q]) {
-    const std::uint32_t n = ue->fifos[set.direction][q].head;
-    if (!head || set.pool[n].seq < set.pool[head->node].seq) {
-      head = Entry{ue, q, n, kNil};
-    }
-  }
-  return head;
+  const auto& heap = set.backlogged[q];
+  if (heap.empty()) return std::nullopt;
+  UeCtx* ue = heap.front().ue;
+  return Entry{ue, q, ue->fifos[set.direction][q].head, kNil};
 }
 
 void EnodeB::serve_dl() {

@@ -8,7 +8,9 @@
 //    proportionally — the Fig 3/13 effect — while QCI 7 gaming stays
 //    clean (Fig 12d). Storage is per UE: each UE holds its own FIFO per
 //    QCI queue, and an arrival sequence number shared by the queue set
-//    restores the shared order (lowest sequence number first);
+//    restores the shared order (lowest sequence number first). A min-heap
+//    of backlogged UEs keyed by their head's sequence number finds the
+//    shared head without visiting every UE;
 //  * per-packet air loss from the UE's radio channel (BLER from RSS,
 //    forced loss during outages). Downlink air loss happens *after* the
 //    SPGW charged the packet — the core over-charging mechanism;
@@ -26,8 +28,8 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "epc/ids.hpp"
@@ -161,8 +163,8 @@ class EnodeB {
   struct UeFifo {
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
-    /// Position in QueueSet::active[q] while the list is non-empty.
-    std::uint32_t active_slot = 0;
+    /// Position in QueueSet::backlogged[q] while the list is non-empty.
+    std::uint32_t heap_pos = 0;
   };
 
   struct UeCtx {
@@ -191,16 +193,22 @@ class EnodeB {
     std::uint64_t seq = 0;
     std::uint32_t next = kNil;
   };
+  /// A backlogged UE in a queue's heap, keyed by its FIFO head's seq.
+  struct HeapItem {
+    std::uint64_t head_seq = 0;
+    UeCtx* ue = nullptr;
+  };
   /// One direction's queues. Per QCI queue: the byte count the drop-tail
-  /// limit applies to, and the UEs whose FIFO in that queue is
-  /// non-empty (unordered), so service visits only backlogged UEs.
+  /// limit applies to, and a 4-ary min-heap on head seq of the UEs whose
+  /// FIFO in that queue is non-empty. Seqs are unique, so the heap top
+  /// is the shared FIFO's head.
   struct QueueSet {
     explicit QueueSet(std::size_t dir) : direction(dir) {}
     std::size_t direction;
     std::vector<Node> pool;
     std::uint32_t free_head = kNil;
     std::uint64_t next_seq = 0;
-    std::array<std::vector<UeCtx*>, kQueues> active;
+    std::array<std::vector<HeapItem>, kQueues> backlogged;
     std::array<std::uint64_t, kQueues> bytes{};
   };
   /// A queued packet: `node` in `ue`'s FIFO for queue `queue`, after
@@ -231,13 +239,23 @@ class EnodeB {
   void flush_ue(QueueSet& set, UeCtx& ue, std::uint64_t& flush_counter);
   [[nodiscard]] static bool has_backlog(const QueueSet& set);
 
+  // Heap maintenance on QueueSet::backlogged[q]; each keeps the moved
+  // UEs' UeFifo::heap_pos current.
+  void heap_place(QueueSet& set, std::size_t q, std::uint32_t pos,
+                  HeapItem item);
+  void heap_sift_down(QueueSet& set, std::size_t q, std::uint32_t pos);
+  void heap_sift_up(QueueSet& set, std::size_t q, std::uint32_t pos);
+  void heap_erase(QueueSet& set, std::size_t q, std::uint32_t pos);
+
   void serve_dl();
   void serve_ul();
 
   sim::Simulator& sim_;
   EnodebParams params_;
   Rng rng_;
-  std::map<Imsi, UeCtx> ues_;
+  /// Rehashing never moves an element, so the heaps' UeCtx pointers
+  /// stay valid until remove_ue erases the (flushed) context.
+  std::unordered_map<Imsi, UeCtx> ues_;
   QueueSet dl_{kDownlink};
   QueueSet ul_{kUplink};
   UplinkSinkFn uplink_sink_;

@@ -347,6 +347,7 @@ Status Ofcs::apply_journal_op(const Bytes& op) {
     case kOpIngest: {
       const ChargingDataRecord cdr = read_cdr(r);
       if (!r.ok()) return Err("ofcs: truncated cdr");
+      if (!r.exhausted()) return Err("ofcs: trailing bytes in ingest op");
       const CdrKey key{cdr.served_imsi.value, cdr.charging_id,
                        cdr.sequence_number};
       if (seen_cdrs_.contains(key)) {
@@ -360,6 +361,7 @@ Status Ofcs::apply_journal_op(const Bytes& op) {
       const Imsi imsi{r.u64()};
       const BillLine line = read_line(r);
       if (!r.ok()) return r.error_or("ofcs: truncated close op");
+      if (!r.exhausted()) return Err("ofcs: trailing bytes in close op");
       if (line.cycle_index < subscribers_[imsi].next_cycle) {
         ++duplicate_ops_dropped_;
         return Status::Ok();
@@ -379,6 +381,7 @@ Status Ofcs::apply_journal_op(const Bytes& op) {
         r.fail("ofcs: unknown settlement outcome");
       }
       if (!r.ok()) return r.error_or("ofcs: truncated settle op");
+      if (!r.exhausted()) return Err("ofcs: trailing bytes in settle op");
       if (settled_.contains(SettleKey{ue_id, cycle})) {
         ++duplicate_ops_dropped_;
         return Status::Ok();

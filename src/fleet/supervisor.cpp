@@ -102,7 +102,11 @@ UeRecord read_record(ByteReader& r) {
   UeRecord record;
   record.ue_index = r.u64();
   record.imsi = epc::Imsi{r.u64()};
-  record.member.app = static_cast<testbed::AppKind>(r.u8());
+  const std::uint8_t app = r.u8();
+  if (app > static_cast<std::uint8_t>(testbed::AppKind::GamingQci9)) {
+    r.fail("shard checkpoint: unknown app kind");
+  }
+  record.member.app = static_cast<testbed::AppKind>(app);
   record.member.mean_rss_dbm = r.f64();
   record.member.disconnect_ratio = r.f64();
   record.member.mobility_speed_mps = r.f64();
@@ -121,7 +125,11 @@ UeRecord read_record(ByteReader& r) {
   // accepted record re-encodes to its bytes.
   const std::uint32_t nschemes = r.count(kSchemeSize);
   for (std::uint32_t i = 0; i < nschemes; ++i) {
-    const auto scheme = static_cast<testbed::Scheme>(r.u8());
+    const std::uint8_t raw_scheme = r.u8();
+    if (raw_scheme > static_cast<std::uint8_t>(testbed::Scheme::TlcRandom)) {
+      r.fail("shard checkpoint: unknown scheme");
+    }
+    const auto scheme = static_cast<testbed::Scheme>(raw_scheme);
     if (!record.outcomes.empty() &&
         scheme <= record.outcomes.rbegin()->first) {
       r.fail("shard checkpoint: schemes out of order");
@@ -145,7 +153,12 @@ UeRecord read_record(ByteReader& r) {
                                  std::move(outcomes));
   }
 
-  record.adversary = static_cast<workloads::AdversaryKind>(r.u8());
+  const std::uint8_t adversary = r.u8();
+  if (adversary >
+      static_cast<std::uint8_t>(workloads::AdversaryKind::kVolumeShaper)) {
+    r.fail("shard checkpoint: unknown adversary kind");
+  }
+  record.adversary = static_cast<workloads::AdversaryKind>(adversary);
   epc::AnomalyCounters& a = record.anomaly;
   std::vector<std::uint64_t*> counter_fields;
   for (std::uint64_t& v : a.protocol_bytes) counter_fields.push_back(&v);

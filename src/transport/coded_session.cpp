@@ -418,6 +418,7 @@ Expected<std::vector<core::SettlementReceipt>> unseal_receipts(
       r.count(kMinEncodedReceiptSize));
   for (core::SettlementReceipt& receipt : receipts) receipt = read_receipt(r);
   if (!r.ok()) return r.error_or("settlement journal: truncated receipt");
+  if (!r.exhausted()) return Err("sealed batch: trailing bytes");
   return receipts;
 }
 

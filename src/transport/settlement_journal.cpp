@@ -84,6 +84,10 @@ Expected<SettlementJournal> SettlementJournal::open(const std::string& path,
       decode_error = r.error_or("settlement journal: truncated receipt");
       return;
     }
+    if (!r.exhausted()) {
+      decode_error = Err("settlement journal: trailing bytes in chunk");
+      return;
+    }
     // Duplicate chunk records (post-append crash, chunk re-recorded by
     // an over-cautious caller) are idempotent: the receipts are
     // identical by the purity argument, keep the first.

@@ -63,9 +63,15 @@ Expected<Trace> Trace::deserialize(const Bytes& data) {
     const std::uint8_t direction = r.u8();
     if (direction > 1) r.fail("trace: bad direction");
     entry.direction = static_cast<sim::Direction>(direction);
-    entry.qci = static_cast<sim::Qci>(r.u8());
+    const auto qci = static_cast<sim::Qci>(r.u8());
+    if (qci != sim::Qci::kQci3 && qci != sim::Qci::kQci7 &&
+        qci != sim::Qci::kQci9) {
+      r.fail("trace: unknown qci");
+    }
+    entry.qci = qci;
   }
   if (!r.ok()) return r.error_or("trace: truncated");
+  if (!r.exhausted()) return Err("trace: trailing bytes");
   return trace;
 }
 

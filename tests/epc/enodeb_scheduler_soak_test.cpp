@@ -5,8 +5,12 @@
 // radios, throttled UEs with mixed packet sizes, queue-limit drops,
 // delay-budget discards, detach with backlog and dl_backlog probes.
 // Every delivery (time, IMSI, packet), every probe, the final Stats and
-// the simulator's event count must match. Runs under the asan preset via
-// the `epc` label.
+// the simulator's event count must match. The sweep also checks that it
+// reached the cases the backlog heaps and UE lookup must get right: one
+// QCI queue with 22 UEs backlogged, so its heap reaches a fourth level,
+// a throttled UE's packet passing its own older one, and a delivery
+// that lands after its UE was removed and re-added. Runs under the asan
+// preset via the `epc` label.
 #include "epc/enodeb.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +20,10 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <set>
 #include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -95,6 +102,18 @@ class ReferenceEnodeB {
       }
     }
     return total;
+  }
+
+  /// Most distinct UEs queued in any one downlink QCI queue: the size of
+  /// EnodeB's largest downlink backlog heap in the same state.
+  [[nodiscard]] std::size_t max_dl_queue_ues() const {
+    std::size_t most = 0;
+    for (const auto& queue : dl_.queues) {
+      std::set<Imsi> ues;
+      for (const QueuedPacket& entry : queue) ues.insert(entry.imsi);
+      most = std::max(most, ues.size());
+    }
+    return most;
   }
 
  private:
@@ -342,20 +361,57 @@ class ReferenceEnodeB {
 // (time, IMSI, packet id, 'D'ownlink or 'U'plink)
 using Delivery = std::tuple<SimTime, std::uint64_t, std::uint64_t, char>;
 
+/// What the downlink deliveries show about the paths they took.
+struct DlWatch {
+  struct Submitted {
+    std::uint64_t arrival = 0;   // submission order over the whole run
+    std::uint32_t removals = 0;  // the UE's remove_ue calls before it
+  };
+  std::vector<std::uint32_t> removals;  // per UE
+  std::map<std::uint64_t, Submitted> submitted;  // by packet id
+  /// Latest arrival delivered per (UE, QCI queue).
+  std::map<std::pair<std::size_t, sim::Qci>, std::uint64_t> last_delivered;
+  std::uint64_t next_arrival = 0;
+  /// A packet arrived before one of its UE's same-QCI packets that was
+  /// delivered ahead of it: only a throttle pass-through reorders a UE
+  /// inside one queue.
+  bool passed_own_older = false;
+  /// A delivery fired after its UE was removed and added again.
+  bool delivered_across_readd = false;
+
+  void submit(std::size_t ue, std::uint64_t id) {
+    submitted[id] = Submitted{next_arrival++, removals[ue]};
+  }
+  void deliver(std::size_t ue, const sim::Packet& packet) {
+    const Submitted& s = submitted.at(packet.id);
+    delivered_across_readd |= s.removals != removals[ue];
+    auto [it, first] =
+        last_delivered.try_emplace({ue, packet.qci}, s.arrival);
+    if (!first) {
+      passed_own_older |= s.arrival < it->second;
+      it->second = std::max(it->second, s.arrival);
+    }
+  }
+};
+
 class TraceUe final : public RrcEndpoint {
  public:
-  TraceUe(const sim::Simulator& sim, Imsi imsi, std::vector<Delivery>& trace)
-      : sim_(sim), imsi_(imsi), trace_(trace) {}
+  TraceUe(const sim::Simulator& sim, std::size_t ue, Imsi imsi,
+          std::vector<Delivery>& trace, DlWatch& watch)
+      : sim_(sim), ue_(ue), imsi_(imsi), trace_(trace), watch_(watch) {}
   [[nodiscard]] std::uint64_t modem_tx_bytes() const override { return 0; }
   [[nodiscard]] std::uint64_t modem_rx_bytes() const override { return 0; }
   void modem_deliver(const sim::Packet& packet) override {
     trace_.emplace_back(sim_.now(), imsi_.value, packet.id, 'D');
+    watch_.deliver(ue_, packet);
   }
 
  private:
   const sim::Simulator& sim_;
+  std::size_t ue_;
   Imsi imsi_;
   std::vector<Delivery>& trace_;
+  DlWatch& watch_;
 };
 
 struct Op {
@@ -458,6 +514,22 @@ Script make_script(std::uint64_t seed) {
     }
     script.ops.push_back(op);
   }
+
+  // Some scripts also submit one packet per UE to a single QCI queue at
+  // one instant and probe right after, so that queue's backlog heap
+  // holds most UEs at once and its deep levels sift and get walked.
+  if (rng.chance(0.25)) {
+    Op op;
+    op.at = random_time();
+    op.qci = kQcis[rng.uniform_u64(3)];
+    for (std::size_t i = 0; i < ue_count; ++i) {
+      op.ue = i;
+      op.size = 40 + static_cast<std::uint32_t>(rng.uniform_u64(1461));
+      script.ops.push_back(op);
+    }
+    op.kind = Op::kProbe;
+    script.ops.push_back(op);
+  }
   return script;
 }
 
@@ -466,6 +538,11 @@ struct Observed {
   std::vector<std::uint64_t> backlogs;
   EnodeB::Stats stats;
   std::uint64_t events = 0;
+  /// Most UEs a probe saw backlogged in one downlink QCI queue; only
+  /// the reference replay, whose shared deques show it, fills this.
+  std::size_t max_dl_queue_ues = 0;
+  bool passed_own_older = false;
+  bool delivered_across_readd = false;
 };
 
 Imsi imsi_of(std::size_t ue) { return Imsi{100 + ue}; }
@@ -474,13 +551,15 @@ template <typename Enb>
 Observed replay(const Script& script, std::uint64_t seed) {
   Observed out;
   sim::Simulator sim;
+  DlWatch watch;
+  watch.removals.resize(script.radios.size());
   std::vector<sim::RadioChannel> radios;
   std::vector<TraceUe> ues;
   radios.reserve(script.radios.size());
   ues.reserve(script.radios.size());
   for (std::size_t i = 0; i < script.radios.size(); ++i) {
     radios.emplace_back(script.radios[i], Rng(seed * 1000 + i));
-    ues.emplace_back(sim, imsi_of(i), out.deliveries);
+    ues.emplace_back(sim, i, imsi_of(i), out.deliveries, watch);
   }
   Enb enodeb(sim, script.params, Rng(seed ^ 0x5eedULL));
   enodeb.set_uplink_sink([&](Imsi imsi, const sim::Packet& packet) {
@@ -509,6 +588,7 @@ Observed replay(const Script& script, std::uint64_t seed) {
             packet.created_at = sim.now() - op.age;
             if (op.kind == Op::kDownlink) {
               packet.direction = sim::Direction::Downlink;
+              watch.submit(op.ue, packet.id);
               enodeb.downlink_submit(imsi, packet);
             } else {
               packet.direction = sim::Direction::Uplink;
@@ -522,6 +602,7 @@ Observed replay(const Script& script, std::uint64_t seed) {
         case Op::kRemove:
           out.backlogs.push_back(enodeb.dl_backlog(imsi));
           enodeb.remove_ue(imsi);
+          ++watch.removals[op.ue];
           out.backlogs.push_back(enodeb.dl_backlog(imsi));
           break;
         case Op::kAdd:
@@ -529,6 +610,10 @@ Observed replay(const Script& script, std::uint64_t seed) {
           break;
         case Op::kProbe:
           out.backlogs.push_back(enodeb.dl_backlog(imsi));
+          if constexpr (std::is_same_v<Enb, ReferenceEnodeB>) {
+            out.max_dl_queue_ues =
+                std::max(out.max_dl_queue_ues, enodeb.max_dl_queue_ues());
+          }
           break;
       }
     });
@@ -540,6 +625,8 @@ Observed replay(const Script& script, std::uint64_t seed) {
   }
   out.stats = enodeb.stats();
   out.events = sim.executed();
+  out.passed_own_older = watch.passed_own_older;
+  out.delivered_across_readd = watch.delivered_across_readd;
   return out;
 }
 
@@ -552,6 +639,9 @@ auto stats_tuple(const EnodeB::Stats& s) {
 
 TEST(EnodebSchedulerSoakTest, MatchesSharedQueueReferenceOverRandomScripts) {
   EnodeB::Stats totals;
+  std::size_t max_dl_queue_ues = 0;
+  bool passed_own_older = false;
+  bool delivered_across_readd = false;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     const Script script = make_script(seed);
     const Observed got = replay<EnodeB>(script, seed);
@@ -567,6 +657,9 @@ TEST(EnodebSchedulerSoakTest, MatchesSharedQueueReferenceOverRandomScripts) {
     totals.dl_flushed += got.stats.dl_flushed;
     totals.ul_delivered += got.stats.ul_delivered;
     totals.ul_queue_drops += got.stats.ul_queue_drops;
+    max_dl_queue_ues = std::max(max_dl_queue_ues, want.max_dl_queue_ues);
+    passed_own_older |= got.passed_own_older;
+    delivered_across_readd |= got.delivered_across_readd;
   }
   // The scripts must actually reach every path the two schedulers could
   // disagree on.
@@ -576,6 +669,65 @@ TEST(EnodebSchedulerSoakTest, MatchesSharedQueueReferenceOverRandomScripts) {
   EXPECT_GT(totals.dl_flushed, 0u);
   EXPECT_GT(totals.ul_delivered, 0u);
   EXPECT_GT(totals.ul_queue_drops, 0u);
+  // 1 + 4 + 16 UEs fill a 4-ary heap's first three levels; the 22nd
+  // in the same queue starts the fourth.
+  EXPECT_GE(max_dl_queue_ues, 22u);
+  EXPECT_TRUE(passed_own_older);
+  EXPECT_TRUE(delivered_across_readd);
+}
+
+template <typename Enb>
+std::vector<std::uint64_t> serve_past_throttled_root() {
+  // UE 0 sits at the heap root with a 1400-byte head its 8 kbps bucket
+  // (1000 bytes at most) never admits, and a 100-byte second packet it
+  // does. UE 1's head arrived between the two, so it sits in a child
+  // with a lower seq than UE 0's admissible packet and goes first. UE 2
+  // keeps the air busy while the three arrive, so one pick sees them.
+  sim::Simulator sim;
+  std::vector<Delivery> deliveries;
+  DlWatch watch;
+  watch.removals.resize(3);
+  sim::RadioParams clean;
+  clean.mean_rss_dbm = -70.0;
+  std::vector<sim::RadioChannel> radios;
+  std::vector<TraceUe> ues;
+  radios.reserve(3);
+  ues.reserve(3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    radios.emplace_back(clean, Rng(7 + i));
+    ues.emplace_back(sim, i, imsi_of(i), deliveries, watch);
+  }
+  EnodebParams params;
+  params.dl_capacity_bps = 1e6;
+  Enb enodeb(sim, params, Rng(11));
+  for (std::size_t i = 0; i < 3; ++i) {
+    enodeb.add_ue(imsi_of(i), &ues[i], &radios[i]);
+  }
+  enodeb.set_rate_limit(imsi_of(0), 8e3);
+  sim.schedule_at(kSecond, [&] {
+    std::uint64_t id = 1;
+    for (const auto& [ue, size] :
+         {std::pair{2, 1400}, {0, 1400}, {1, 500}, {0, 100}}) {
+      sim::Packet packet;
+      packet.id = id++;
+      packet.size_bytes = static_cast<std::uint32_t>(size);
+      packet.direction = sim::Direction::Downlink;
+      packet.created_at = sim.now();
+      watch.submit(static_cast<std::size_t>(ue), packet.id);
+      enodeb.downlink_submit(imsi_of(static_cast<std::size_t>(ue)), packet);
+    }
+  });
+  sim.run_until(2 * kSecond);
+  std::vector<std::uint64_t> served;
+  for (const Delivery& d : deliveries) served.push_back(std::get<2>(d));
+  return served;
+}
+
+TEST(EnodebSchedulerSoakTest, ThrottledRootDoesNotHideAnOlderChildHead) {
+  // UE 2's packet, then UE 1's, then UE 0's second; its head stays.
+  const std::vector<std::uint64_t> want{1, 3, 4};
+  EXPECT_EQ(serve_past_throttled_root<EnodeB>(), want);
+  EXPECT_EQ(serve_past_throttled_root<ReferenceEnodeB>(), want);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 // unbounded allocation on the way is a failure too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <functional>
 #include <string>
@@ -45,7 +46,20 @@ struct Codec {
   std::string name;
   Bytes valid;
   RoundTrip round_trip;
+  /// Offsets of enum bytes in `valid`: 0xff is no value of those enums,
+  /// so a window over one must be rejected.
+  std::vector<std::size_t> enum_bytes = {};
 };
+
+/// Offsets where two encodings of the same length differ.
+std::vector<std::size_t> differing_bytes(const Bytes& a, const Bytes& b) {
+  EXPECT_EQ(a.size(), b.size());
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+    if (a[i] != b[i]) out.push_back(i);
+  }
+  return out;
+}
 
 /// A fresh, empty scratch directory for one file-backed decode, keyed
 /// by the running test so parallel ctest cases never share one.
@@ -421,7 +435,9 @@ std::vector<Codec> ofcs_codecs() {
 
 // --- shard checkpoint, PoC archive, trace ----------------------------------
 
-std::vector<fleet::UeRecord> shard_records() {
+/// `other_enums` changes every enum byte and nothing else: app,
+/// adversary, and each scheme one step up.
+std::vector<fleet::UeRecord> shard_records(bool other_enums = false) {
   std::vector<fleet::UeRecord> records(2);
   for (std::size_t i = 0; i < records.size(); ++i) {
     fleet::UeRecord& record = records[i];
@@ -433,14 +449,21 @@ std::vector<fleet::UeRecord> shard_records() {
     record.cycles.resize(2);
     record.cycles[1].true_sent = 5000;
     record.cycles[1].gateway_volume = 4800;
-    for (testbed::Scheme scheme :
-         {testbed::Scheme::Legacy, testbed::Scheme::TlcOptimal}) {
+    record.member.app = other_enums ? testbed::AppKind::GamingQci7
+                                    : testbed::AppKind::WebcamRtsp;
+    record.adversary = other_enums ? workloads::AdversaryKind::kDnsTunnel
+                                   : workloads::AdversaryKind::kNone;
+    const auto first = other_enums ? testbed::Scheme::TlcOptimal
+                                   : testbed::Scheme::Legacy;
+    const auto second = other_enums ? testbed::Scheme::TlcRandom
+                                    : testbed::Scheme::TlcOptimal;
+    for (testbed::Scheme scheme : {first, second}) {
       testbed::CycleOutcome outcome;
       outcome.expected = 5000;
       outcome.charged = 4900;
       outcome.gap_mb = 0.1;
       outcome.rounds = 3;
-      outcome.completed = scheme == testbed::Scheme::Legacy;
+      outcome.completed = scheme == first;
       record.outcomes[scheme] = {outcome, outcome};
     }
     record.anomaly.free_bytes = 7;
@@ -460,13 +483,20 @@ std::vector<Codec> archive_codecs() {
   trace.entries = {{0, 1200, sim::Direction::Downlink, sim::Qci::kQci9},
                    {kMillisecond, 80, sim::Direction::Uplink,
                     sim::Qci::kQci9}};
+  workloads::Trace other_qcis = trace;
+  for (workloads::TraceEntry& entry : other_qcis.entries) {
+    entry.qci = sim::Qci::kQci7;
+  }
+  const Bytes checkpoint = fleet::detail::encode_shard_records(shard_records());
 
   return {
-      {"shard_checkpoint", fleet::detail::encode_shard_records(shard_records()),
+      {"shard_checkpoint", checkpoint,
        [](const Bytes& w) {
          return reencode(fleet::detail::decode_shard_records(w),
                          fleet::detail::encode_shard_records);
-       }},
+       },
+       differing_bytes(checkpoint, fleet::detail::encode_shard_records(
+                                       shard_records(true)))},
       {"poc_archive", untagged(store.serialize()),
        [](const Bytes& body) -> Expected<Bytes> {
          auto decoded = core::PocStore::deserialize(
@@ -480,7 +510,9 @@ std::vector<Codec> archive_codecs() {
              tagged(body, "tlc-trace-integrity-v1"));
          if (!decoded) return Err(decoded.error());
          return untagged(decoded->serialize());
-       }},
+       },
+       differing_bytes(untagged(trace.serialize()),
+                       untagged(other_qcis.serialize()))},
   };
 }
 
@@ -598,9 +630,65 @@ TEST(DecodeDamageTest, EveryMaxedWindowIsAnErrorOrExact) {
     for (std::size_t at = 0; at + 4 <= codec.valid.size(); ++at) {
       Bytes damaged = codec.valid;
       std::fill_n(damaged.begin() + static_cast<std::ptrdiff_t>(at), 4, 0xff);
-      expect_error_or_exact(codec, damaged,
-                            "0xffffffff at offset " + std::to_string(at));
+      const std::string what = "0xffffffff at offset " + std::to_string(at);
+      const bool over_enum =
+          std::any_of(codec.enum_bytes.begin(), codec.enum_bytes.end(),
+                      [at](std::size_t b) { return b >= at && b < at + 4; });
+      if (over_enum) {
+        EXPECT_FALSE(codec.round_trip(damaged).has_value())
+            << codec.name << " accepted an unknown enum value at " << what;
+      } else {
+        expect_error_or_exact(codec, damaged, what);
+      }
     }
+  }
+}
+
+TEST(DecodeDamageTest, TheSweepKnowsEveryEnumByte) {
+  // Two UE records with app, adversary and two schemes each; two trace
+  // entries with a QCI each.
+  for (const Codec& codec : all_codecs()) {
+    if (codec.name == "shard_checkpoint") {
+      EXPECT_EQ(codec.enum_bytes.size(), 8u);
+    } else if (codec.name == "trace") {
+      EXPECT_EQ(codec.enum_bytes.size(), 2u);
+    } else {
+      EXPECT_TRUE(codec.enum_bytes.empty()) << codec.name;
+    }
+  }
+}
+
+TEST(DecodeDamageTest, EveryAppendedByteIsAnErrorOrExact) {
+  // Damage above never adds bytes; a decoder that stops reading early
+  // would give two wires one value.
+  for (const Codec& codec : all_codecs()) {
+    for (const std::uint8_t extra : {std::uint8_t{0x00}, std::uint8_t{0xff}}) {
+      Bytes damaged = codec.valid;
+      damaged.push_back(extra);
+      expect_error_or_exact(codec, damaged,
+                            "an appended byte " + std::to_string(extra));
+    }
+  }
+}
+
+TEST(DecodeDamageTest, ASignedBodyWithTrailingBytesIsATypedError) {
+  // The signed messages nest their body in a blob, which an appended
+  // byte never reaches: grow the body blob by one byte instead.
+  for (const Codec& codec : message_codecs()) {
+    ByteReader r(codec.valid);
+    Bytes body = r.blob();
+    ASSERT_TRUE(r.ok()) << codec.name;
+    const auto rest = codec.valid.begin() +
+                      static_cast<std::ptrdiff_t>(4 + body.size());
+    body.push_back(0);
+    ByteWriter w;
+    w.blob(body);
+    Bytes damaged = w.take();
+    damaged.insert(damaged.end(), rest, codec.valid.end());
+    const Expected<Bytes> again = codec.round_trip(damaged);
+    ASSERT_FALSE(again.has_value()) << codec.name;
+    EXPECT_NE(again.error().find("trailing bytes in body"), std::string::npos)
+        << codec.name << ": " << again.error();
   }
 }
 
