@@ -12,6 +12,11 @@
 //                      (the pre-coalescing workload shape)
 //   arrivals_batched   one self-rescheduling drain event per frame,
 //                      consuming the frame's packets chunk by chunk
+//   boundary_timers    48 self-chaining per-UE packet streams over 30 s,
+//                      with each UE's 36 charging-cycle boundary timers
+//                      all scheduled at t = 0 (the fleet's shape: every
+//                      boundary snapshot of the run is pending from the
+//                      start)
 //   enodeb_dense_dl    one eNodeB serving 48 UEs whose radios drop out
 //                      10% of the time in 0.5 s outages, under Poisson
 //                      downlink load at 95% of the cell's capacity: the
@@ -19,10 +24,11 @@
 //                      backlog queued around the served ones
 //
 // Each case reports median-of-3 events/sec (packets/sec for the arrival
-// cases, so the two shapes are directly comparable). enodeb_dense_dl
-// also reports its delivered and delay-budget-dropped packets and the
-// wall time per packet served. The counts are deterministic for a seed:
-// tools/bench_check.py compares them with the committed record.
+// cases, so the two shapes are directly comparable). boundary_timers
+// also reports wall ns per event; enodeb_dense_dl reports its delivered
+// and delay-budget-dropped packets and the wall time per packet served.
+// The counts are deterministic for a seed: tools/bench_check.py
+// compares them with the committed record.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -52,6 +58,8 @@ struct Row {
   std::uint64_t events;
   double wall_seconds;
   double events_per_second;
+  /// boundary_timers only.
+  double ns_per_event = 0.0;
   /// enodeb_dense_dl only: served = delivered + air-dropped.
   bool has_dl = false;
   std::uint64_t dl_delivered = 0;
@@ -163,6 +171,67 @@ double bench_arrivals_batched(std::uint64_t packets) {
   }
   sim.run();
   return seconds_since(start);
+}
+
+constexpr std::size_t kTimerUes = 48;
+constexpr int kBoundariesPerUe = 36;
+constexpr SimTime kTimerHorizon = 30 * kSecond;
+
+struct TimedRun {
+  double wall_seconds = 0.0;
+  std::uint64_t events = 0;
+};
+
+TimedRun bench_boundary_timers() {
+  sim::Simulator sim;
+  struct Stream {
+    sim::Simulator* sim;
+    SimTime gap;
+    void emit() {
+      g_sink += static_cast<std::uint64_t>(gap);
+      if (sim->now() + gap <= kTimerHorizon) {
+        sim->schedule_after(gap, [this] { emit(); });
+      }
+    }
+  };
+  std::vector<Stream> streams;
+  streams.reserve(kTimerUes);
+  const auto start = Clock::now();
+  for (std::size_t u = 0; u < kTimerUes; ++u) {
+    // Every boundary of the run, shifted by this UE's clock offset.
+    const SimTime offset = static_cast<SimTime>(u * 37 % 300) * kMillisecond;
+    for (int k = 1; k <= kBoundariesPerUe; ++k) {
+      const SimTime at = kTimerHorizon * k / kBoundariesPerUe - offset;
+      sim.schedule_at(at,
+                      [u, k] { g_sink += u * static_cast<std::size_t>(k); });
+    }
+    const SimTime gap =
+        700 * kMicrosecond + static_cast<SimTime>(u % 8) * 10 * kMicrosecond;
+    streams.push_back(Stream{&sim, gap});
+    Stream* stream = &streams.back();
+    sim.schedule_after(stream->gap, [stream] { stream->emit(); });
+  }
+  sim.run_until(kTimerHorizon);
+  return TimedRun{seconds_since(start), sim.executed()};
+}
+
+Row sample_boundary_timers() {
+  std::vector<TimedRun> runs;
+  for (int i = 0; i < kSamples; ++i) {
+    runs.push_back(bench_boundary_timers());
+  }
+  std::sort(runs.begin(), runs.end(), [](const auto& a, const auto& b) {
+    return a.wall_seconds < b.wall_seconds;
+  });
+  const TimedRun& median = runs[runs.size() / 2];
+  Row row{"boundary_timers", median.events, median.wall_seconds,
+          static_cast<double>(median.events) / median.wall_seconds};
+  row.ns_per_event =
+      median.wall_seconds * 1e9 / static_cast<double>(median.events);
+  std::printf("%20s %14llu %10.3f %16.0f  %.1f ns/event\n",
+              row.name.c_str(), static_cast<unsigned long long>(row.events),
+              row.wall_seconds, row.events_per_second, row.ns_per_event);
+  return row;
 }
 
 constexpr std::size_t kDenseUes = 48;
@@ -311,6 +380,9 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
                  row.name.c_str(),
                  static_cast<unsigned long long>(row.events), row.wall_seconds,
                  row.events_per_second);
+    if (row.ns_per_event > 0.0) {
+      std::fprintf(f, ", \"ns_per_event\": %.1f", row.ns_per_event);
+    }
     if (row.has_dl) {
       std::fprintf(f,
                    ", \"dl_delivered\": %llu, \"dl_pdb_drops\": %llu, "
@@ -348,6 +420,7 @@ int run(const BenchOptions& options) {
   rows.push_back(sample("arrivals_batched", n, [&] {
     return bench_arrivals_batched(n);
   }));
+  rows.push_back(sample_boundary_timers());
   rows.push_back(sample_enodeb_dense_dl(
       options.full ? 600 * kSecond : 120 * kSecond, options.seed));
 
