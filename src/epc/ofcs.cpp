@@ -15,23 +15,22 @@ namespace {
 // diverge from the live ledger.
 constexpr std::uint8_t kOpIngest = 1;
 constexpr std::uint8_t kOpClose = 2;
-constexpr std::uint8_t kOpSettle = 3;
 
 // Version 2 extends the CDR codec with the §13 audit fields
 // (uncharged volumes + anomaly flags); journals and snapshots written
 // by version 1 are no longer readable, which is fine — supervisor state
 // directories never outlive a binary in this repo.
 // v3: bill amounts moved from f64 currency units to u64 micro-units.
-constexpr std::uint8_t kSnapshotVersion = 3;
+// v4: the settlement census and settled keys left the snapshot, and the
+// settle op (tag 3) left the journal; the census is folded from the
+// settlement receipts instead.
+constexpr std::uint8_t kSnapshotVersion = 4;
 
 // Smallest encodings behind each snapshot count: a bill line, a
-// census entry, a subscriber with an empty archive and no lines, a
-// seen-CDR key and a settled key.
+// subscriber with an empty archive and no lines, and a seen-CDR key.
 constexpr std::size_t kBillLineSize = 29;
-constexpr std::size_t kCensusEntrySize = 32;
 constexpr std::size_t kMinSubscriberSize = 65;
 constexpr std::size_t kSeenCdrSize = 14;
-constexpr std::size_t kSettledSize = 12;
 
 /// A u8 flag: 0 or 1, anything else is not a canonical encoding.
 bool read_flag(ByteReader& r) {
@@ -74,17 +73,6 @@ Bytes encode_close_op(Imsi imsi, const BillLine& line) {
   w.u8(kOpClose);
   w.u64(imsi.value);
   write_line(w, line);
-  return w.take();
-}
-
-// tlclint: codec(ofcs_op_settle, encode, version=kSnapshotVersion)
-Bytes encode_settle_op(std::uint64_t ue_id, std::uint32_t cycle_index,
-                       SettlementOutcome outcome) {
-  ByteWriter w;
-  w.u8(kOpSettle);
-  w.u64(ue_id);
-  w.u32(cycle_index);
-  w.u8(static_cast<std::uint8_t>(outcome));
   return w.take();
 }
 
@@ -193,64 +181,6 @@ std::vector<std::pair<Imsi, BillLine>> Ofcs::close_cycle_all(
   return lines;
 }
 
-Status Ofcs::record_settlement(std::uint32_t cycle_index,
-                               SettlementOutcome outcome,
-                               std::uint64_t ue_id) {
-  if (cycle_index >= kMaxSettlementCycles) {
-    return Err("ofcs: settlement cycle past kMaxSettlementCycles");
-  }
-  if (log_ != nullptr) {
-    if (settled_.contains(SettleKey{ue_id, cycle_index})) {
-      ++duplicate_ops_dropped_;
-      return Status::Ok();
-    }
-    if (!journal_op(encode_settle_op(ue_id, cycle_index, outcome))) {
-      return recovery_error_;
-    }
-  }
-  apply_settlement(ue_id, cycle_index, outcome);
-  return Status::Ok();
-}
-
-void Ofcs::apply_settlement(std::uint64_t ue_id, std::uint32_t cycle_index,
-                            SettlementOutcome outcome) {
-  if (log_ != nullptr) settled_.insert(SettleKey{ue_id, cycle_index});
-  if (settlement_by_cycle_.size() <= cycle_index) {
-    settlement_by_cycle_.resize(cycle_index + 1);
-  }
-  SettlementCounters& counters = settlement_by_cycle_[cycle_index];
-  switch (outcome) {
-    case SettlementOutcome::Converged:
-      ++counters.converged;
-      break;
-    case SettlementOutcome::Retried:
-      ++counters.retried;
-      break;
-    case SettlementOutcome::Degraded:
-      ++counters.degraded;
-      break;
-    case SettlementOutcome::RejectedTamper:
-      ++counters.rejected_tamper;
-      break;
-  }
-}
-
-SettlementCounters Ofcs::settlement_counters(std::uint32_t cycle_index) const {
-  if (cycle_index >= settlement_by_cycle_.size()) return {};
-  return settlement_by_cycle_[cycle_index];
-}
-
-SettlementCounters Ofcs::settlement_totals() const {
-  SettlementCounters sum;
-  for (const SettlementCounters& counters : settlement_by_cycle_) {
-    sum.converged += counters.converged;
-    sum.retried += counters.retried;
-    sum.degraded += counters.degraded;
-    sum.rejected_tamper += counters.rejected_tamper;
-  }
-  return sum;
-}
-
 Ofcs::FleetTotals Ofcs::totals() const {
   FleetTotals totals;
   totals.subscribers = subscribers_.size();
@@ -265,7 +195,6 @@ Ofcs::FleetTotals Ofcs::totals() const {
     totals.uncharged_bytes += state.uncharged_bytes;
     if (state.anomaly_flags != 0) ++totals.flagged_subscribers;
   }
-  totals.settlement = settlement_totals();
   return totals;
 }
 
@@ -362,31 +291,16 @@ Status Ofcs::apply_journal_op(const Bytes& op) {
       const BillLine line = read_line(r);
       if (!r.ok()) return r.error_or("ofcs: truncated close op");
       if (!r.exhausted()) return Err("ofcs: trailing bytes in close op");
-      if (line.cycle_index < subscribers_[imsi].next_cycle) {
+      const std::uint32_t next_cycle = subscribers_[imsi].next_cycle;
+      if (line.cycle_index < next_cycle) {
         ++duplicate_ops_dropped_;
         return Status::Ok();
+      }
+      // Bill lines are indexed by cycle, so a close may not skip one.
+      if (line.cycle_index > next_cycle) {
+        return Err("ofcs: close op skips a cycle");
       }
       apply_close(imsi, line);
-      return Status::Ok();
-    }
-    case kOpSettle: {
-      const std::uint64_t ue_id = r.u64();
-      const std::uint32_t cycle = r.u32();
-      const std::uint8_t outcome = r.u8();
-      if (cycle >= kMaxSettlementCycles) {
-        r.fail("ofcs: settlement cycle past kMaxSettlementCycles");
-      }
-      if (outcome >
-          static_cast<std::uint8_t>(SettlementOutcome::RejectedTamper)) {
-        r.fail("ofcs: unknown settlement outcome");
-      }
-      if (!r.ok()) return r.error_or("ofcs: truncated settle op");
-      if (!r.exhausted()) return Err("ofcs: trailing bytes in settle op");
-      if (settled_.contains(SettleKey{ue_id, cycle})) {
-        ++duplicate_ops_dropped_;
-        return Status::Ok();
-      }
-      apply_settlement(ue_id, cycle, static_cast<SettlementOutcome>(outcome));
       return Status::Ok();
     }
     default:
@@ -416,23 +330,11 @@ Bytes Ofcs::serialize_state() const {
     w.u64(state.uncharged_bytes);
     w.u32(state.anomaly_flags);
   }
-  w.u32(static_cast<std::uint32_t>(settlement_by_cycle_.size()));
-  for (const SettlementCounters& counters : settlement_by_cycle_) {
-    w.u64(counters.converged);
-    w.u64(counters.retried);
-    w.u64(counters.degraded);
-    w.u64(counters.rejected_tamper);
-  }
   w.u32(static_cast<std::uint32_t>(seen_cdrs_.size()));
   for (const auto& [imsi, charging_id, sequence] : seen_cdrs_) {
     w.u64(imsi);
     w.u16(charging_id);
     w.u32(sequence);
-  }
-  w.u32(static_cast<std::uint32_t>(settled_.size()));
-  for (const auto& [ue_id, cycle] : settled_) {
-    w.u64(ue_id);
-    w.u32(cycle);
   }
   return w.take();
 }
@@ -440,9 +342,7 @@ Bytes Ofcs::serialize_state() const {
 // tlclint: codec(ofcs_snapshot, decode, version=kSnapshotVersion)
 Status Ofcs::restore_state(const Bytes& snapshot) {
   subscribers_.clear();
-  settlement_by_cycle_.clear();
   seen_cdrs_.clear();
-  settled_.clear();
 
   // Keys must arrive in the strictly ascending order serialize_state()
   // writes, so that every accepted snapshot re-serializes to its bytes.
@@ -468,23 +368,22 @@ Status Ofcs::restore_state(const Bytes& snapshot) {
     state.pending_dl = r.u64();
     state.next_cycle = r.u32();
     state.billing.lines.resize(r.count(kBillLineSize));
-    for (BillLine& line : state.billing.lines) line = read_line(r);
+    // Bill lines are indexed by cycle, with next_cycle one past them.
+    std::uint32_t cycle = 0;
+    for (BillLine& line : state.billing.lines) {
+      line = read_line(r);
+      if (line.cycle_index != cycle++) {
+        r.fail("ofcs snapshot: bill line out of cycle order");
+      }
+    }
+    if (state.next_cycle != state.billing.lines.size()) {
+      r.fail("ofcs snapshot: next cycle is not the line count");
+    }
     state.billing.total_billed_bytes = r.u64();
     state.billing.total_amount_micro = r.u64();
     state.billing.throttled = read_flag(r);
     state.uncharged_bytes = r.u64();
     state.anomaly_flags = r.u32();
-  }
-  const std::uint32_t cycle_count = r.count(kCensusEntrySize);
-  if (cycle_count > kMaxSettlementCycles) {
-    r.fail("ofcs snapshot: census past kMaxSettlementCycles");
-  }
-  settlement_by_cycle_.resize(cycle_count);
-  for (SettlementCounters& counters : settlement_by_cycle_) {
-    counters.converged = r.u64();
-    counters.retried = r.u64();
-    counters.degraded = r.u64();
-    counters.rejected_tamper = r.u64();
   }
   const std::uint32_t seen_count = r.count(kSeenCdrSize);
   for (std::uint32_t i = 0; i < seen_count; ++i) {
@@ -496,15 +395,6 @@ Status Ofcs::restore_state(const Bytes& snapshot) {
       r.fail("ofcs snapshot: seen CDRs out of order");
     }
     seen_cdrs_.insert(seen_cdrs_.end(), key);
-  }
-  const std::uint32_t settled_count = r.count(kSettledSize);
-  for (std::uint32_t i = 0; i < settled_count; ++i) {
-    const std::uint64_t ue_id = r.u64();
-    const SettleKey key{ue_id, r.u32()};
-    if (!settled_.empty() && key <= *settled_.rbegin()) {
-      r.fail("ofcs snapshot: settled keys out of order");
-    }
-    settled_.insert(settled_.end(), key);
   }
   if (!r.ok()) return r.error_or("ofcs snapshot: truncated");
   if (!r.exhausted()) return Err("ofcs snapshot: trailing bytes");

@@ -25,25 +25,8 @@
 
 namespace tlc::epc {
 
-/// How one (subscriber, cycle) TLC settlement ended, as seen by the
-/// operator's charging backend (§8 outcome taxonomy; mirrors
-/// core::SettleOutcome without depending on the core library — the EPC
-/// layer deliberately cannot see the protocol stack).
-enum class SettlementOutcome : std::uint8_t {
-  Converged,
-  Retried,
-  Degraded,
-  RejectedTamper,
-};
-
-/// Settlement cycle indices at or past this are a typed error. The
-/// census is dense (one 32-byte counter set per cycle, indexed by
-/// cycle), so a settle op's cycle sizes an allocation: the bound caps
-/// it at 32 MiB, and at the paper's hourly cycles it is 119 years of
-/// billing.
-inline constexpr std::uint32_t kMaxSettlementCycles = 1u << 20;
-
-/// Per-cycle settlement outcome census.
+/// Per-cycle settlement outcome census (§8). The fleet engine folds it
+/// from the settlement receipts; the OFCS only bills.
 struct SettlementCounters {
   std::uint64_t converged = 0;
   std::uint64_t retried = 0;
@@ -121,34 +104,12 @@ class Ofcs {
   /// Subscribers with state, ascending IMSI order.
   [[nodiscard]] std::vector<Imsi> subscribers() const;
 
-  /// Records how cycle `cycle_index` settled for one subscriber (the
-  /// fleet engine calls this once per settlement receipt). `ue_id`
-  /// identifies the subscriber's device; with recovery attached it
-  /// forms the idempotence key (ue, cycle) — re-recording after a
-  /// crash is a no-op, so no settled cycle is counted twice. A cycle
-  /// index at or past kMaxSettlementCycles is a typed error and records
-  /// nothing.
-  [[nodiscard]] Status record_settlement(std::uint32_t cycle_index,
-                                         SettlementOutcome outcome,
-                                         std::uint64_t ue_id = 0);
-
-  /// Outcome census of one cycle (zero counters past the last recorded
-  /// cycle) and the all-cycle aggregate.
-  [[nodiscard]] SettlementCounters settlement_counters(
-      std::uint32_t cycle_index) const;
-  [[nodiscard]] SettlementCounters settlement_totals() const;
-  [[nodiscard]] std::size_t settlement_cycles() const {
-    return settlement_by_cycle_.size();
-  }
-
   /// Fleet-level rollup across every subscriber's rated cycles.
   struct FleetTotals {
     std::size_t subscribers = 0;
     std::size_t throttled = 0;  // currently speed-limited
     std::uint64_t billed_bytes = 0;
     std::uint64_t amount_micro = 0;
-    /// Settlement outcome census across all recorded cycles.
-    SettlementCounters settlement;
     /// §13 audit rollup: bytes that escaped charging (free-class +
     /// zero-rated, from CDR uncharged fields) and subscribers with at
     /// least one anomaly flag raised.
@@ -176,10 +137,12 @@ class Ofcs {
   // With a StateLog attached the ledger follows write-ahead discipline:
   // every mutation is journaled before it is applied, each op carries
   // an idempotent record ID ((imsi, charging_id, seq) for CDRs,
-  // (imsi, cycle) for closes, (ue, cycle) for settlements), and replay
-  // of any op suffix over any snapshot converges on the same state —
-  // no byte billed twice, no settled cycle lost. Without one, nothing
-  // below runs and the legacy behaviour is bit-identical to before.
+  // (imsi, cycle) for closes), and replay of any op suffix over any
+  // snapshot converges on the same state — no byte billed twice, no
+  // rated cycle lost. The settlement outcomes are not the ledger's: the
+  // supervisor journals the receipts, and the census is folded from
+  // them. Without a log, nothing below runs and the legacy behaviour is
+  // bit-identical to before.
 
   /// Attaches `log` and recovers: restores the last checkpoint (if
   /// any) and re-applies the journaled op suffix. Call on a freshly
@@ -219,14 +182,11 @@ class Ofcs {
 
   /// Keys: see the recovery comment above.
   using CdrKey = std::tuple<std::uint64_t, std::uint16_t, std::uint32_t>;
-  using SettleKey = std::pair<std::uint64_t, std::uint32_t>;
 
   void apply_ingest(const ChargingDataRecord& cdr);
   /// Applies a fully-rated line to the subscriber (no recomputation —
   /// replay must reproduce the exact stored doubles).
   void apply_close(Imsi imsi, const BillLine& line);
-  void apply_settlement(std::uint64_t ue_id, std::uint32_t cycle_index,
-                        SettlementOutcome outcome);
   [[nodiscard]] Status apply_journal_op(const Bytes& op);
   /// Journals `op`; on I/O failure records recovery_error_ and returns
   /// false (caller must then skip the apply).
@@ -236,15 +196,13 @@ class Ofcs {
   ChargeHook hook_;
   std::unordered_map<Imsi, State> subscribers_;
   std::uint64_t ingested_ = 0;
-  std::vector<SettlementCounters> settlement_by_cycle_;
 
   recovery::StateLog* log_ = nullptr;
   Status recovery_error_ = Status::Ok();
   std::uint64_t duplicate_ops_dropped_ = 0;
-  /// Idempotence sets (maintained only while a StateLog is attached;
+  /// Idempotence set (maintained only while a StateLog is attached;
   /// std::set so snapshots serialise deterministically).
   std::set<CdrKey> seen_cdrs_;
-  std::set<SettleKey> settled_;
 };
 
 }  // namespace tlc::epc

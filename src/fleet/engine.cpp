@@ -12,23 +12,26 @@
 #include "crypto/sha256.hpp"
 #include "fleet/engine_detail.hpp"
 #include "sim/rng_stream.hpp"
-#include "util/logging.hpp"
 
 namespace tlc::fleet {
 namespace {
 
-epc::SettlementOutcome to_epc_outcome(core::SettleOutcome outcome) {
+void count_outcome(epc::SettlementCounters& counters,
+                   core::SettleOutcome outcome) {
   switch (outcome) {
     case core::SettleOutcome::Converged:
-      return epc::SettlementOutcome::Converged;
+      ++counters.converged;
+      return;
     case core::SettleOutcome::Retried:
-      return epc::SettlementOutcome::Retried;
+      ++counters.retried;
+      return;
     case core::SettleOutcome::Degraded:
-      return epc::SettlementOutcome::Degraded;
+      ++counters.degraded;
+      return;
     case core::SettleOutcome::RejectedTamper:
-      return epc::SettlementOutcome::RejectedTamper;
+      ++counters.rejected_tamper;
+      return;
   }
-  return epc::SettlementOutcome::Degraded;
 }
 
 // Fleet-level seed streams (disjoint from per-shard streams, which are
@@ -211,26 +214,20 @@ void aggregate_fleet(const FleetConfig& config, epc::Ofcs& ofcs,
                      const std::function<void(int cycle)>& after_cycle) {
   // Flat (ue_index * cycles + cycle) receipt index: O(1) hook lookups
   // instead of a tree walk per rated CDR, which matters at 10k UEs.
+  // The same pass folds the settlement outcome census (§8). A receipt
+  // at or past config.base.cycles (only a damaged recovered chunk can
+  // carry one) stays out of the census, as it stays out of the bill.
   const auto cycles = static_cast<std::size_t>(std::max(config.base.cycles, 0));
   std::vector<const core::SettlementReceipt*> by_ue_cycle(
       result.records.size() * cycles, nullptr);
+  result.settlement_by_cycle.assign(result.receipts.empty() ? 0 : cycles, {});
+  result.settlement_totals = {};
   for (const core::SettlementReceipt& receipt : result.receipts) {
-    if (receipt.ue_id < result.records.size() && receipt.cycle < cycles) {
+    if (receipt.cycle >= cycles) continue;
+    count_outcome(result.settlement_by_cycle[receipt.cycle], receipt.outcome);
+    count_outcome(result.settlement_totals, receipt.outcome);
+    if (receipt.ue_id < result.records.size()) {
       by_ue_cycle[receipt.ue_id * cycles + receipt.cycle] = &receipt;
-    }
-  }
-
-  // Feed the settlement outcome census (§8) into the charging backend:
-  // receipts are in (ue_index, cycle) input order, so the counters are
-  // thread-independent by construction. A receipt the OFCS rejects (a
-  // cycle past epc::kMaxSettlementCycles, which only a damaged
-  // recovered chunk can carry) stays out of the census, as a cycle
-  // past config.base.cycles stays out of the bill below.
-  for (const core::SettlementReceipt& receipt : result.receipts) {
-    if (Status recorded = ofcs.record_settlement(
-            receipt.cycle, to_epc_outcome(receipt.outcome), receipt.ue_id);
-        !recorded.ok()) {
-      TLC_WARN("fleet") << "settlement not recorded: " << recorded.error();
     }
   }
 
@@ -319,13 +316,6 @@ void aggregate_fleet(const FleetConfig& config, epc::Ofcs& ofcs,
   result.ingest_batches =
       streaming != nullptr ? streaming->batches() : std::vector<charging::BatchPoc>{};
   result.totals = ofcs.totals();
-  result.settlement_totals = ofcs.settlement_totals();
-  result.settlement_by_cycle.clear();
-  result.settlement_by_cycle.reserve(ofcs.settlement_cycles());
-  for (std::size_t cycle = 0; cycle < ofcs.settlement_cycles(); ++cycle) {
-    result.settlement_by_cycle.push_back(
-        ofcs.settlement_counters(static_cast<std::uint32_t>(cycle)));
-  }
 }
 
 void compute_digests(FleetResult& result) {

@@ -42,9 +42,11 @@ struct FleetResult {
   std::vector<std::vector<std::pair<epc::Imsi, epc::BillLine>>> bills;
   epc::Ofcs::FleetTotals totals;
 
-  /// Settlement outcome census (§8): per-cycle and aggregate. All
-  /// Converged on a lossless run; Retried/Degraded/RejectedTamper
-  /// appear once config.lossy_transport injects faults.
+  /// Settlement outcome census (§8), counted from `receipts`: one entry
+  /// per cycle (none when config.settle is false) and their sum. On a
+  /// lossless run only a cycle that fails to negotiate is Degraded;
+  /// Retried and RejectedTamper appear once config.lossy_transport
+  /// injects faults.
   std::vector<epc::SettlementCounters> settlement_by_cycle;
   epc::SettlementCounters settlement_totals;
 

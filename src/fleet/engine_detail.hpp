@@ -56,15 +56,16 @@ void collect_gap_samples(const std::vector<UeRecord>& records,
 [[nodiscard]] std::vector<core::SettlementItem> settlement_items(
     const std::vector<UeRecord>& records, const FleetConfig& config);
 
-/// OFCS aggregation: feeds the settlement census, installs the TLC
-/// charge hook over `result.receipts`, ingests the synthetic gateway
-/// CDRs and closes every cycle; fills bills/totals/settlement fields
-/// of `result` (records/gap_samples/receipts must already be there).
-/// `ofcs` is caller-constructed — the supervisor attaches its recovery
-/// log first — and `after_cycle` (nullable) runs after each cycle
-/// closes, which is where checkpoints go. Idempotent against a
-/// recovered `ofcs`: re-ingested CDRs, re-closed cycles and
-/// re-recorded settlements all dedupe.
+/// OFCS aggregation: folds the settlement census from
+/// `result.receipts`, installs the TLC charge hook over them, ingests
+/// the synthetic gateway CDRs and closes every cycle; fills
+/// bills/totals/settlement fields of `result` (records/gap_samples/
+/// receipts must already be there). `ofcs` is caller-constructed — the
+/// supervisor attaches its recovery log first — and `after_cycle`
+/// (nullable) runs after each cycle closes, which is where checkpoints
+/// go. Idempotent against a recovered `ofcs`: re-ingested CDRs and
+/// re-closed cycles dedupe, and the census is a pure function of the
+/// receipts.
 void aggregate_fleet(const FleetConfig& config, epc::Ofcs& ofcs,
                      FleetResult& result,
                      const std::function<void(int cycle)>& after_cycle);

@@ -33,9 +33,6 @@ struct AdversaryMix {
       workloads::AdversaryKind::kZeroRatedAbuse,
       workloads::AdversaryKind::kFreeRider,
       workloads::AdversaryKind::kVolumeShaper};
-  /// Forwarded to SpgwParams: charge uplink flows to their bound owner
-  /// (turns free-riding into a charge on the victim).
-  bool flow_based_charging = false;
 
   [[nodiscard]] bool enabled() const {
     return fraction > 0.0 && !kinds.empty();

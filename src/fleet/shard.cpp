@@ -43,12 +43,6 @@ SimTime run_tail(SimTime cycle_length) {
       testbed::max_boundary_offset(cycle_length) + kSecond);
 }
 
-epc::SpgwParams shard_spgw_params(const FleetConfig& config) {
-  epc::SpgwParams params;
-  params.flow_based_charging = config.adversary.flow_based_charging;
-  return params;
-}
-
 }  // namespace
 
 struct FleetShard::UeCtx {
@@ -76,8 +70,7 @@ FleetShard::FleetShard(const FleetConfig& config, int shard_index,
                        std::uint64_t first_ue, std::size_t ue_count)
     : config_(config),
       shard_index_(shard_index),
-      cell_(sim_, config_.base, sim::stream_rng(shard_seed(), kEnodebStream),
-            shard_spgw_params(config_)) {
+      cell_(sim_, config_.base, sim::stream_rng(shard_seed(), kEnodebStream)) {
   for (std::size_t i = 0; i < ue_count; ++i) {
     build_ue(first_ue + i, kUeStreamBase + 2 * i);
   }

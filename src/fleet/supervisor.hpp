@@ -68,7 +68,7 @@ struct SupervisionStats {
   /// re-negotiated.
   std::size_t settle_chunks_recovered = 0;
   /// Journaled OFCS ops dropped by record-ID dedupe (each one is a
-  /// would-be double bill or double-counted settlement).
+  /// would-be double-ingested CDR or double bill).
   std::uint64_t duplicate_ops_dropped = 0;
 };
 

@@ -36,9 +36,8 @@
 namespace tlc::transport {
 
 /// Receipts plus the coded-path census (§17; all-zero with
-/// Coding::Off). The per-outcome census (§8) is the OFCS's
-/// SettlementCounters, which counts each receipt's outcome as it is
-/// billed.
+/// Coding::Off). The per-outcome census (§8) is folded from the
+/// receipts by fleet::detail::aggregate_fleet.
 struct LossyBatchReport {
   std::vector<core::SettlementReceipt> receipts;
   CodedCounters coded;

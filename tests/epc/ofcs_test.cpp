@@ -117,23 +117,6 @@ TEST(OfcsTest, BillingAccumulatesAcrossCycles) {
   EXPECT_EQ(billing->total_amount_micro, 30'000u);
 }
 
-TEST(OfcsTest, SettlementCyclePastTheBoundIsATypedError) {
-  // 0xffffffff once made cycle_index + 1 wrap to 0 in 32 bits: the
-  // census was resized to nothing and then written past.
-  Ofcs ofcs(test_plan());
-  for (const std::uint32_t cycle : {kMaxSettlementCycles, 0xffffffffu}) {
-    const Status recorded =
-        ofcs.record_settlement(cycle, SettlementOutcome::Converged, 1);
-    ASSERT_FALSE(recorded.ok()) << cycle;
-    EXPECT_EQ(recorded.error(),
-              "ofcs: settlement cycle past kMaxSettlementCycles");
-  }
-  EXPECT_EQ(ofcs.settlement_cycles(), 0u);
-  EXPECT_TRUE(ofcs.record_settlement(2, SettlementOutcome::Retried, 1).ok());
-  EXPECT_EQ(ofcs.settlement_cycles(), 3u);
-  EXPECT_EQ(ofcs.settlement_counters(2).retried, 1u);
-}
-
 std::uint32_t u32_at(const Bytes& bytes, std::size_t offset) {
   std::uint32_t v = 0;
   for (std::size_t i = 0; i < 4; ++i) v = (v << 8) | bytes[offset + i];
@@ -149,14 +132,14 @@ Bytes with_u32(Bytes bytes, std::size_t offset, std::uint32_t v) {
 
 TEST(OfcsTest, SnapshotCountsPastTheBytesAreTypedErrors) {
   // Each count in a snapshot read from disk once sized a reserve or a
-  // resize as it stood: 0xffffffff census entries, archived CDRs or
-  // bill lines with nothing behind them threw std::bad_alloc.
+  // resize as it stood: 0xffffffff seen CDRs, archived CDRs or bill
+  // lines with nothing behind them threw std::bad_alloc.
   Ofcs empty(test_plan());
   const Bytes empty_snapshot = empty.serialize_state();
-  // version, ingested, subscriber count, then the census count.
-  constexpr std::size_t kCensusCount = 1 + 8 + 4;
-  ASSERT_EQ(empty_snapshot.size(), 25u);
-  ASSERT_EQ(u32_at(empty_snapshot, kCensusCount), 0u);
+  // version, ingested, subscriber count, then the seen-CDR count.
+  constexpr std::size_t kSeenCount = 1 + 8 + 4;
+  ASSERT_EQ(empty_snapshot.size(), 17u);
+  ASSERT_EQ(u32_at(empty_snapshot, kSeenCount), 0u);
 
   Ofcs one(test_plan());
   one.ingest(cdr_of(1000, 2000));
@@ -169,8 +152,7 @@ TEST(OfcsTest, SnapshotCountsPastTheBytesAreTypedErrors) {
   ASSERT_EQ(u32_at(snapshot, kLineCount), 0u);
 
   for (const Bytes& damaged :
-       {with_u32(empty_snapshot, kCensusCount, 0xffffffff),
-        with_u32(empty_snapshot, kCensusCount, kMaxSettlementCycles + 1),
+       {with_u32(empty_snapshot, kSeenCount, 0xffffffff),
         with_u32(snapshot, kArchiveCount, 0xffffffff),
         with_u32(snapshot, kLineCount, 0xffffffff)}) {
     Ofcs target(test_plan());

@@ -1,6 +1,6 @@
 // OFCS crash recovery: the ledger under a write-ahead StateLog must
 // come back byte-identical after a process death at ANY instrumented
-// boundary — no byte billed twice, no settled cycle lost.
+// boundary — no byte billed twice, no rated cycle lost.
 //
 // The driver below re-executes the whole billing workload from scratch
 // in each incarnation (exactly what the fleet supervisor does); the
@@ -46,8 +46,8 @@ constexpr int kCycles = 3;
 
 /// The billing workload: deterministic, idempotently re-executable.
 /// Each cycle ingests per-UE CDRs (unique (imsi, charging_id, seq)
-/// IDs), closes the cycle by index for both UEs, records settlements
-/// keyed by (ue, cycle), and checkpoints after cycle 1.
+/// IDs), closes the cycle by index for both UEs, and checkpoints after
+/// cycle 1.
 void drive(Ofcs& ofcs, bool with_checkpoint = true) {
   ofcs.set_charge_hook([](Imsi, std::uint32_t cycle,
                           std::uint64_t gateway_volume) {
@@ -59,12 +59,6 @@ void drive(Ofcs& ofcs, bool with_checkpoint = true) {
     ofcs.ingest(make_cdr(kUeB, 1, cycle, 0, 2500 * (cycle + 1)));
     (void)ofcs.close_cycle(kUeA, cycle);
     (void)ofcs.close_cycle(kUeB, cycle);
-    EXPECT_TRUE(
-        ofcs.record_settlement(cycle, SettlementOutcome::Converged, /*ue=*/1)
-            .ok());
-    EXPECT_TRUE(
-        ofcs.record_settlement(cycle, SettlementOutcome::Retried, /*ue=*/2)
-            .ok());
     if (cycle == 1 && with_checkpoint) {
       ASSERT_TRUE(ofcs.checkpoint().ok());
     }
@@ -137,7 +131,6 @@ TEST(OfcsRecoveryTest, SerializeRestoreRoundTripIsExact) {
   EXPECT_EQ(restored.serialize_state(), state);
   EXPECT_EQ(restored.totals().billed_bytes, ofcs.totals().billed_bytes);
   EXPECT_EQ(restored.totals().amount_micro, ofcs.totals().amount_micro);
-  EXPECT_EQ(restored.settlement_totals(), ofcs.settlement_totals());
 }
 
 TEST(OfcsRecoveryTest, RestoreRejectsDamage) {
@@ -212,7 +205,6 @@ TEST(OfcsRecoveryTest, DetachedLegacyBehaviourUnchanged) {
   drive(journaled);
   EXPECT_EQ(plain.totals().billed_bytes, journaled.totals().billed_bytes);
   EXPECT_EQ(plain.totals().amount_micro, journaled.totals().amount_micro);
-  EXPECT_EQ(plain.settlement_totals(), journaled.settlement_totals());
   const BillLine* line = nullptr;
   const SubscriberBilling* billing = plain.billing(kUeA);
   ASSERT_NE(billing, nullptr);
@@ -225,31 +217,117 @@ TEST(OfcsRecoveryTest, DetachedLegacyBehaviourUnchanged) {
   wipe(dir, "ofcs_legacy");
 }
 
-TEST(OfcsRecoveryTest, JournaledSettleOpPastTheBoundIsATypedError) {
-  // A settle op for cycle 0xffffffff replayed from the journal once
-  // wrote past the census, as a live record_settlement did.
+/// Journals `ops` as the whole of `stem`, recovers `ofcs` from them and
+/// detaches it again; returns what recovery said.
+Status recover_from(Ofcs& ofcs, const std::string& stem,
+                    const std::vector<Bytes>& ops) {
   const std::string dir = ::testing::TempDir();
-  const std::string stem = "ofcs_settle_bound";
   wipe(dir, stem);
   {
     auto log = recovery::StateLog::open(dir, stem);
-    ASSERT_TRUE(log.has_value()) << log.error();
-    ByteWriter op;  // ofcs_op_settle: tag, ue, cycle, outcome
-    op.u8(3);
-    op.u64(1);
-    op.u32(0xffffffff);
-    op.u8(0);
-    ASSERT_TRUE(log->append(op.take()).ok());
+    if (!log) return Err(log.error());
+    for (const Bytes& op : ops) {
+      if (Status appended = log->append(op); !appended.ok()) return appended;
+    }
   }
   auto log = recovery::StateLog::open(dir, stem);
-  ASSERT_TRUE(log.has_value()) << log.error();
-  Ofcs ofcs(test_plan());
+  if (!log) return Err(log.error());
   const Status attached = ofcs.attach_recovery(&*log);
-  ASSERT_FALSE(attached.ok());
-  EXPECT_EQ(attached.error(),
-            "ofcs: settlement cycle past kMaxSettlementCycles");
-  EXPECT_EQ(ofcs.settlement_cycles(), 0u);
+  (void)ofcs.attach_recovery(nullptr);
   wipe(dir, stem);
+  return attached;
+}
+
+/// An ofcs_op_close for `imsi` carrying a line for `cycle`.
+Bytes close_op(Imsi imsi, std::uint32_t cycle) {
+  ByteWriter op;
+  op.u8(2);
+  op.u64(imsi.value);
+  op.u32(cycle);
+  op.u64(4000);  // gateway volume
+  op.u64(3000);  // billed volume
+  op.u64(30);    // amount
+  op.u8(0);      // throttled
+  return op.take();
+}
+
+TEST(OfcsRecoveryTest, JournaledSettleOpFromAVersion3JournalIsATypedError) {
+  // A version-3 ledger journaled one settle op (tag 3: ue, cycle,
+  // outcome) per settlement receipt. The ledger keeps no settlement
+  // outcomes, so a leftover one is an op it does not know.
+  ByteWriter op;
+  op.u8(3);
+  op.u64(1);
+  op.u32(0);
+  op.u8(0);
+  Ofcs ofcs(test_plan());
+  const Status attached = recover_from(ofcs, "ofcs_settle_v3", {op.take()});
+  ASSERT_FALSE(attached.ok());
+  EXPECT_EQ(attached.error(), "ofcs: unknown journal op tag");
+}
+
+TEST(OfcsRecoveryTest, JournaledCloseOpThatSkipsACycleIsATypedError) {
+  // A close op for cycle 5 on an empty ledger once gave the subscriber
+  // one bill line and next_cycle 6, so close_cycle(imsi, 3) indexed
+  // lines[3]; cycle 0xffffffff wrapped next_cycle to 0.
+  for (const std::uint32_t cycle : {5u, 0xffffffffu}) {
+    Ofcs ofcs(test_plan());
+    const Status attached =
+        recover_from(ofcs, "ofcs_skip", {close_op(Imsi{1001}, cycle)});
+    ASSERT_FALSE(attached.ok()) << cycle;
+    EXPECT_EQ(attached.error(), "ofcs: close op skips a cycle");
+  }
+  // Closes that follow one another replay, and a repeated one dedupes.
+  Ofcs ofcs(test_plan());
+  ASSERT_TRUE(recover_from(ofcs, "ofcs_no_skip",
+                           {close_op(Imsi{1001}, 0), close_op(Imsi{1001}, 1),
+                            close_op(Imsi{1001}, 1)})
+                  .ok());
+  const SubscriberBilling* billing = ofcs.billing(Imsi{1001});
+  ASSERT_NE(billing, nullptr);
+  ASSERT_EQ(billing->lines.size(), 2u);
+  EXPECT_EQ(billing->lines[1].cycle_index, 1u);
+}
+
+Bytes with_u32(Bytes bytes, std::size_t offset, std::uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    bytes[offset + i] = static_cast<std::uint8_t>(v >> (24 - 8 * i));
+  }
+  return bytes;
+}
+
+TEST(OfcsRecoveryTest, RestoreRejectsLinesThatAreNotOnePerCycle) {
+  // A snapshot's next_cycle must be its line count, and line i must
+  // rate cycle i: close_cycle hands back lines[cycle] for any cycle
+  // below next_cycle.
+  Ofcs ofcs(test_plan());
+  (void)ofcs.close_cycle(kUeA);
+  (void)ofcs.close_cycle(kUeA);
+  const Bytes snapshot = ofcs.serialize_state();
+  // version, ingested, subscriber count; the subscriber's IMSI, an
+  // empty archive, pending UL/DL, then next_cycle, the line count and
+  // two 29-byte lines, each opening with its cycle index.
+  constexpr std::size_t kNextCycle = 1 + 8 + 4 + 8 + 4 + 8 + 8;
+  constexpr std::size_t kSecondLine = kNextCycle + 4 + 4 + 29;
+  Ofcs intact(test_plan());
+  ASSERT_TRUE(intact.restore_state(snapshot).ok());
+
+  const std::vector<std::pair<Bytes, std::string>> damaged = {
+      {with_u32(snapshot, kNextCycle, 6),
+       "ofcs snapshot: next cycle is not the line count"},
+      {with_u32(snapshot, kNextCycle, 1),
+       "ofcs snapshot: next cycle is not the line count"},
+      {with_u32(snapshot, kSecondLine, 3),
+       "ofcs snapshot: bill line out of cycle order"},
+      {with_u32(snapshot, kSecondLine, 0),
+       "ofcs snapshot: bill line out of cycle order"},
+  };
+  for (const auto& [bytes, error] : damaged) {
+    Ofcs target(test_plan());
+    const Status restored = target.restore_state(bytes);
+    ASSERT_FALSE(restored.ok()) << error;
+    EXPECT_EQ(restored.error(), error);
+  }
 }
 
 }  // namespace

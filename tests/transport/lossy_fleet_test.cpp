@@ -1,9 +1,14 @@
 // Fleet runs over the lossy transport: thread-count bit-identity with
 // faults injected, and the zero-fault contract: byte-equality with the
-// lossless path through each UE's first failed cycle.
+// lossless path through each UE's first failed cycle. Also the §8
+// outcome census, counted against the receipts on every rung.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "fleet/engine.hpp"
+#include "fleet/engine_detail.hpp"
 #include "smoke_fleets.hpp"
 
 namespace tlc::fleet {
@@ -166,9 +171,114 @@ TEST(LossyFleetTest, CountersAggregateAcrossCycles) {
     sum.rejected_tamper += cycle.rejected_tamper;
   }
   EXPECT_EQ(sum, result.settlement_totals);
-  EXPECT_EQ(result.totals.settlement, result.settlement_totals);
   EXPECT_EQ(result.settlement_by_cycle.size(),
             static_cast<std::size_t>(small_fleet(1).base.cycles));
+}
+
+/// The census as a direct count of the receipts, cycle by cycle.
+void expect_census_counts_the_receipts(const FleetResult& result,
+                                       const FleetConfig& config) {
+  const auto cycles = static_cast<std::uint32_t>(config.base.cycles);
+  ASSERT_FALSE(result.receipts.empty());
+  ASSERT_EQ(result.settlement_by_cycle.size(), cycles);
+  const auto count = [&result](std::uint32_t cycle,
+                               core::SettleOutcome outcome) {
+    return static_cast<std::uint64_t>(std::count_if(
+        result.receipts.begin(), result.receipts.end(),
+        [&](const core::SettlementReceipt& receipt) {
+          return receipt.cycle == cycle && receipt.outcome == outcome;
+        }));
+  };
+  epc::SettlementCounters sum;
+  for (std::uint32_t cycle = 0; cycle < cycles; ++cycle) {
+    const epc::SettlementCounters want{
+        count(cycle, core::SettleOutcome::Converged),
+        count(cycle, core::SettleOutcome::Retried),
+        count(cycle, core::SettleOutcome::Degraded),
+        count(cycle, core::SettleOutcome::RejectedTamper)};
+    EXPECT_EQ(result.settlement_by_cycle[cycle], want) << "cycle " << cycle;
+    sum.converged += want.converged;
+    sum.retried += want.retried;
+    sum.degraded += want.degraded;
+    sum.rejected_tamper += want.rejected_tamper;
+  }
+  EXPECT_EQ(result.settlement_totals, sum);
+  EXPECT_EQ(sum.total(), result.receipts.size());
+}
+
+TEST(LossyFleetTest, CensusCountsTheReceiptsOnEveryRung) {
+  // In-process, stop-and-wait and coded settlement, the last two over
+  // a channel whose faults make cycles retry and degrade.
+  // RLNC carries every group through lossy_fleet's faults; on a
+  // hopeless link the groups fall down the ladder and degrade.
+  FleetConfig coded = lossy_fleet(2);
+  coded.transport.coding = transport::Coding::Rlnc;
+  coded.transport.to_edge.drop = 0.98;
+  coded.transport.to_operator.drop = 0.98;
+  coded.transport.coded.max_ticks = 1 << 14;
+  coded.transport.retry.max_ticks = 1 << 12;
+  const std::pair<const char*, FleetConfig> rungs[] = {
+      {"in-process", small_fleet(2)},
+      {"stop-and-wait", lossy_fleet(2)},
+      {"coded", coded}};
+  for (const auto& [rung, config] : rungs) {
+    SCOPED_TRACE(rung);
+    const FleetResult result = run_fleet(config);
+    expect_census_counts_the_receipts(result, config);
+    if (config.lossy_transport) {
+      // The faults must reach the census, or it counts one outcome only.
+      EXPECT_GT(result.settlement_totals.retried +
+                    result.settlement_totals.degraded +
+                    result.settlement_totals.rejected_tamper,
+                0u);
+    }
+  }
+
+  FleetConfig unsettled = small_fleet(2);
+  unsettled.settle = false;
+  const FleetResult none = run_fleet(unsettled);
+  EXPECT_TRUE(none.receipts.empty());
+  EXPECT_TRUE(none.settlement_by_cycle.empty());
+  EXPECT_EQ(none.settlement_totals, epc::SettlementCounters{});
+}
+
+TEST(LossyFleetTest, AReceiptPastTheLastCycleStaysOutOfTheCensusAndTheBill) {
+  // Only a damaged recovered chunk can carry such a receipt; it must
+  // move neither a counter nor a bill line.
+  const FleetConfig config = small_fleet(1);
+  const FleetResult reference = run_fleet(config);
+  FleetResult damaged = reference;
+  for (const std::uint32_t cycle :
+       {static_cast<std::uint32_t>(config.base.cycles), 0xffffffffu}) {
+    core::SettlementReceipt stray = reference.receipts.front();
+    stray.cycle = cycle;
+    stray.completed = true;
+    stray.charged = 12345;
+    stray.outcome = core::SettleOutcome::Retried;
+    damaged.receipts.push_back(stray);
+  }
+  epc::Ofcs ofcs(detail::fleet_plan(config));
+  detail::aggregate_fleet(config, ofcs, damaged, nullptr);
+
+  EXPECT_EQ(damaged.settlement_totals, reference.settlement_totals);
+  ASSERT_EQ(damaged.settlement_by_cycle.size(),
+            reference.settlement_by_cycle.size());
+  for (std::size_t c = 0; c < reference.settlement_by_cycle.size(); ++c) {
+    EXPECT_EQ(damaged.settlement_by_cycle[c], reference.settlement_by_cycle[c])
+        << c;
+  }
+  ASSERT_EQ(damaged.bills.size(), reference.bills.size());
+  for (std::size_t c = 0; c < reference.bills.size(); ++c) {
+    ASSERT_EQ(damaged.bills[c].size(), reference.bills[c].size()) << c;
+    for (std::size_t i = 0; i < reference.bills[c].size(); ++i) {
+      const epc::BillLine& got = damaged.bills[c][i].second;
+      const epc::BillLine& want = reference.bills[c][i].second;
+      EXPECT_EQ(got.billed_volume, want.billed_volume) << c << "/" << i;
+      EXPECT_EQ(got.amount_micro, want.amount_micro) << c << "/" << i;
+    }
+  }
+  EXPECT_EQ(damaged.totals.billed_bytes, reference.totals.billed_bytes);
+  EXPECT_EQ(damaged.totals.amount_micro, reference.totals.amount_micro);
 }
 
 }  // namespace

@@ -339,8 +339,8 @@ epc::ChargingDataRecord cdr_for(std::uint64_t imsi, std::uint32_t seq) {
   return cdr;
 }
 
-/// A snapshot with two subscribers, closed cycles, a settlement census
-/// and both idempotence sets (kept only while a log is attached).
+/// A snapshot with two subscribers, closed cycles and the seen-CDR set
+/// (kept only while a log is attached).
 Bytes ofcs_snapshot() {
   const std::string dir = scratch_dir("ofcs_snapshot");
   auto log = recovery::StateLog::open(dir, "ofcs");
@@ -352,10 +352,6 @@ Bytes ofcs_snapshot() {
     ofcs.ingest(cdr_for(imsi, 2));
     (void)ofcs.close_cycle(epc::Imsi{imsi});
   }
-  EXPECT_TRUE(
-      ofcs.record_settlement(0, epc::SettlementOutcome::Converged, 1).ok());
-  EXPECT_TRUE(
-      ofcs.record_settlement(1, epc::SettlementOutcome::Degraded, 2).ok());
   return ofcs.serialize_state();
 }
 
@@ -392,22 +388,9 @@ Expected<Bytes> ofcs_op_round_trip(const Bytes& op) {
   const std::vector<epc::Imsi> imsis = ofcs.subscribers();
   if (op[0] == 1) {
     epc::write_cdr(w, ofcs.archive(imsis.at(0))->back());
-  } else if (op[0] == 2) {
+  } else {
     w.u64(imsis.at(0).value);
     write_line(w, ofcs.billing(imsis.at(0))->lines.back());
-  } else {
-    // The settled key closes the snapshot: ue_id, then the cycle.
-    const Bytes snapshot = ofcs.serialize_state();
-    const Bytes key(snapshot.end() - 12, snapshot.end());
-    ByteReader r(key);
-    w.u64(r.u64());
-    const std::uint32_t cycle = r.u32();
-    w.u32(cycle);
-    const epc::SettlementCounters c = ofcs.settlement_counters(cycle);
-    w.u8(c.converged   ? 0
-         : c.retried   ? 1
-         : c.degraded  ? 2
-                       : 3);
   }
   return w.take();
 }
@@ -420,16 +403,10 @@ std::vector<Codec> ofcs_codecs() {
   close.u8(2);
   close.u64(1001);
   write_line(close, epc::BillLine{0, 4000, 3000, 30, false});
-  ByteWriter settle;
-  settle.u8(3);
-  settle.u64(17);
-  settle.u32(2);
-  settle.u8(static_cast<std::uint8_t>(epc::SettlementOutcome::Retried));
   return {
       {"ofcs_snapshot", ofcs_snapshot(), ofcs_snapshot_round_trip},
       {"ofcs_op_ingest", ingest.take(), ofcs_op_round_trip},
       {"ofcs_op_close", close.take(), ofcs_op_round_trip},
-      {"ofcs_op_settle", settle.take(), ofcs_op_round_trip},
   };
 }
 
